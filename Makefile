@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race race chaos fuzz store sim sim-seed cluster bench bench-smoke bench-e12 bench-e13 bench-e14 bench-e15 bench-e16 bench-e17 bench-e18 cover check-metrics check-docs experiments examples clean
+.PHONY: all build vet test test-race race chaos fuzz store sim sim-seed cluster bench bench-smoke bench-e12 bench-e13 bench-e14 bench-e15 bench-e16 bench-e17 bench-e18 cover check-metrics check-docs check-clean experiments examples clean
 
 all: build vet test
 
@@ -126,6 +126,11 @@ check-metrics:
 # (what CI runs).
 check-docs:
 	sh scripts/check_docs.sh
+
+# Tier-1 on a `git archive HEAD` export in a temporary directory (what
+# CI runs): fails when a file the build or tests need is not committed.
+check-clean:
+	GO=$(GO) sh scripts/check_clean.sh
 
 # Human-readable experiment tables (what EXPERIMENTS.md records).
 experiments:

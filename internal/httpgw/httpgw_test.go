@@ -15,6 +15,7 @@ import (
 	"placeless/internal/obs"
 	"placeless/internal/property"
 	"placeless/internal/repo"
+	"placeless/internal/sig"
 	"placeless/internal/simnet"
 )
 
@@ -264,6 +265,20 @@ func TestETagConditionalGet(t *testing.T) {
 	if etag == "" {
 		t.Fatal("no ETag header")
 	}
+	if want := `"` + sig.Of([]byte("etag me")).String() + `"`; etag != want || resp.Header.Get("X-Placeless-Cache") != "MISS" {
+		t.Fatalf("miss: ETag %s (%s), want %s", etag, resp.Header.Get("X-Placeless-Cache"), want)
+	}
+	// A hit carries the signature the cache interned the bytes under:
+	// the same tag, with no second hash.
+	resp, err = http.Get(e.ts.URL + "/doc/d?user=u")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if got := resp.Header.Get("ETag"); got != etag || resp.Header.Get("X-Placeless-Cache") != "HIT" {
+		t.Fatalf("hit: ETag %s (%s), want %s", got, resp.Header.Get("X-Placeless-Cache"), etag)
+	}
 
 	// Revalidation with the matching tag: 304, no body.
 	req, _ := http.NewRequest(http.MethodGet, e.ts.URL+"/doc/d?user=u", nil)
@@ -290,6 +305,9 @@ func TestETagConditionalGet(t *testing.T) {
 	}
 	if resp.Header.Get("ETag") == etag {
 		t.Fatal("ETag did not change with content")
+	}
+	if want := `"` + sig.Of(body).String() + `"`; resp.Header.Get("ETag") != want {
+		t.Fatalf("after change: ETag %s, want %s", resp.Header.Get("ETag"), want)
 	}
 }
 

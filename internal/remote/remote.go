@@ -12,6 +12,13 @@
 // honored: Uncacheable results are never stored, and CacheWithEvents
 // entries forward a getInputStream event to the server on every hit.
 //
+// Entries share storage by content signature (the paper's §3 mapping
+// from (document, user) to signature to bytes), but the cache never
+// hashes a body itself: the origin computes each signature once, when
+// it produces or interns the bytes, and sends it with every read
+// (server.ReadMeta.Signature). A read that arrives without one is
+// served uncached.
+//
 // Because consistency leans entirely on the push stream, a broken
 // connection is a correctness event, not just an availability one:
 // while disconnected the cache is in an explicit degraded mode
@@ -624,16 +631,16 @@ func (c *Cache) miss(doc, user string) ([]byte, error) {
 		c.stats.Uncacheable++
 		return data, nil
 	}
-	if !subLive || sus || c.gens[doc] != gen || c.connEpoch != ep || c.suspect {
-		// No live subscription, the fetch started inside the suspect
-		// window, it was invalidated mid-read, the connection was
-		// lost and re-established underneath us (pushes may have
-		// been missed), or the subscription replay has not finished:
-		// serve uncached.
+	s := meta.Signature
+	if s.IsZero() || !subLive || sus || c.gens[doc] != gen || c.connEpoch != ep || c.suspect {
+		// No origin signature to share storage under, no live
+		// subscription, the fetch started inside the suspect window,
+		// it was invalidated mid-read, the connection was lost and
+		// re-established underneath us (pushes may have been missed),
+		// or the subscription replay has not finished: serve uncached.
 		return data, nil
 	}
 	c.dropLocked(k)
-	s := sig.Of(data)
 	b := c.blobs[s]
 	if b == nil {
 		b = &blob{data: append([]byte{}, data...)}

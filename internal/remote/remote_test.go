@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"placeless/internal/clock"
+	"placeless/internal/core"
 	"placeless/internal/docspace"
 	"placeless/internal/property"
 	"placeless/internal/repo"
@@ -199,6 +200,66 @@ func TestSignatureSharingRemote(t *testing.T) {
 	st := r.cache.Stats()
 	if r.cache.Len() != 2 || st.BytesStored != int64(len("same for all")) {
 		t.Fatalf("len=%d stored=%d", r.cache.Len(), st.BytesStored)
+	}
+}
+
+// TestSignatureSharingFromCachedOrigin: the client tier installs
+// under the signature the origin sends. Two users whose personal
+// chains transform the document to identical bytes share one client
+// blob, counted once in BytesStored; a third user's different view
+// gets its own.
+func TestSignatureSharingFromCachedOrigin(t *testing.T) {
+	clk := clock.NewVirtual(epoch)
+	backing := repo.NewMem("srv", clk, simnet.NewPath("loop", 1))
+	space := docspace.New(clk, nil)
+	origin := core.New(space, core.Options{})
+	defer origin.Close()
+	srv := server.NewCached(space, backing, origin)
+	done := make(chan error, 1)
+	go func() { done <- srv.ListenAndServe("127.0.0.1:0") }()
+	defer func() { srv.Close(); <-done }()
+	var addr string
+	for i := 0; i < 200 && addr == ""; i++ {
+		if a := srv.Addr(); a != nil {
+			addr = a.String()
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	client, err := server.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	cache := New(client, Options{})
+
+	if err := client.CreateDocument("d", "eyal", []byte("shared words")); err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range []string{"paul", "doug"} {
+		if err := client.AddReference("d", u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, u := range []string{"eyal", "paul"} {
+		if err := client.Attach("d", u, true, "uppercase"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[string]string{"eyal": "SHARED WORDS", "paul": "SHARED WORDS", "doug": "shared words"}
+	for round := 0; round < 2; round++ {
+		for _, u := range []string{"eyal", "paul", "doug"} {
+			got, err := cache.Read("d", u)
+			if err != nil || string(got) != want[u] {
+				t.Fatalf("round %d, %s: read = %q, %v", round, u, got, err)
+			}
+		}
+	}
+	st := cache.Stats()
+	if st.Misses != 3 || st.Hits != 3 || cache.Len() != 3 {
+		t.Fatalf("stats = %+v len=%d, want 3 misses, 3 hits, 3 entries", st, cache.Len())
+	}
+	if want := int64(2 * len("shared words")); st.BytesStored != want {
+		t.Fatalf("BytesStored = %d, want %d (the two uppercase views share one blob)", st.BytesStored, want)
 	}
 }
 

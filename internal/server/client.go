@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"placeless/internal/property"
+	"placeless/internal/sig"
 )
 
 // ErrClientClosed is returned by calls on a client that was closed
@@ -194,6 +195,11 @@ type ReadMeta struct {
 	// Expiry is the earliest TTL deadline of the content (zero when
 	// no TTL applies).
 	Expiry time.Time
+	// Signature is the content signature of the returned bytes as the
+	// origin computed it, so a client tier can share storage between
+	// identical bodies without hashing them again. It is zero for
+	// uncacheable content.
+	Signature sig.Signature
 }
 
 // pendingCall is one in-flight request. On success the response is
@@ -239,6 +245,12 @@ func (w wireV1) readResponse() (*Response, error) {
 	if err := w.fc.dec.Decode(&resp); err != nil {
 		return nil, err
 	}
+	// Gob frames carry no signature and do not name their op, so every
+	// cacheable success frame is hashed here; on non-read ops that is
+	// the MD5 of an empty body.
+	if resp.ID != 0 && resp.Err == "" && property.Cacheability(resp.Cacheability) != property.Uncacheable {
+		resp.signature = sig.Of(resp.Body)
+	}
 	return &resp, nil
 }
 
@@ -270,7 +282,7 @@ func (w *wireV2) sendRequest(req *Request, _ time.Duration) error {
 	return w.fw.enqueue(f)
 }
 
-func (w *wireV2) readResponse() (*Response, error) { return readResponseFrameInto(w.br, w.claim) }
+func (w *wireV2) readResponse() (*Response, error)  { return readResponseFrameInto(w.br, w.claim) }
 func (w *wireV2) setReadDeadline(t time.Time) error { return w.c.SetReadDeadline(t) }
 
 func (w *wireV2) close() error {
@@ -863,14 +875,20 @@ func (c *Client) Read(doc, user string) ([]byte, ReadMeta, error) {
 	if err != nil {
 		return nil, ReadMeta{}, err
 	}
+	return resp.Body, readMeta(resp), nil
+}
+
+// readMeta extracts the cache-facing metadata of a read response.
+func readMeta(resp *Response) ReadMeta {
 	meta := ReadMeta{
 		Cacheability: property.Cacheability(resp.Cacheability),
 		Cost:         time.Duration(resp.CostNanos),
+		Signature:    resp.signature,
 	}
 	if resp.ExpiryUnixNanos != 0 {
 		meta.Expiry = time.Unix(0, resp.ExpiryUnixNanos)
 	}
-	return resp.Body, meta, nil
+	return meta
 }
 
 // ReadInto is Read with a caller-supplied body buffer, the client
@@ -888,14 +906,7 @@ func (c *Client) ReadInto(doc, user string, buf []byte) ([]byte, ReadMeta, error
 	if err != nil {
 		return nil, ReadMeta{}, err
 	}
-	meta := ReadMeta{
-		Cacheability: property.Cacheability(resp.Cacheability),
-		Cost:         time.Duration(resp.CostNanos),
-	}
-	if resp.ExpiryUnixNanos != 0 {
-		meta.Expiry = time.Unix(0, resp.ExpiryUnixNanos)
-	}
-	return resp.Body, meta, nil
+	return resp.Body, readMeta(resp), nil
 }
 
 // Write executes the remote write path.

@@ -15,6 +15,7 @@ import (
 	"placeless/internal/clock"
 	"placeless/internal/docspace"
 	"placeless/internal/repo"
+	"placeless/internal/sig"
 	"placeless/internal/simnet"
 )
 
@@ -147,21 +148,30 @@ func FuzzProtocolV2RoundTrip(f *testing.F) {
 			}
 		}
 
-		// Read response: raw metadata + body. Cacheability is a one-byte
-		// enum on the wire, hence the uint8 input.
-		resp := &Response{ID: id, Body: body, Cacheability: int(cach),
-			CostNanos: cost, ExpiryUnixNanos: expiry}
-		rf, err := encodeResponseFrame(OpRead, resp)
-		if err != nil {
-			t.Fatalf("encode read response: %v", err)
-		}
-		rgot, err := readResponseFrame(bufio.NewReader(bytes.NewReader(frameBytes(t, rf))))
-		if err != nil {
-			t.Fatalf("decode read response: %v", err)
-		}
-		if rgot.ID != id || !bytes.Equal(rgot.Body, body) || rgot.Cacheability != int(cach) ||
-			rgot.CostNanos != cost || rgot.ExpiryUnixNanos != expiry {
-			t.Fatalf("read response corrupted: got %+v want %+v", rgot, resp)
+		// Read response: raw metadata + signature + body, inline and
+		// streamed. Cacheability is a one-byte enum on the wire, hence
+		// the uint8 input; the signature bytes come from value, so they
+		// are arbitrary (zero included).
+		var sg sig.Signature
+		copy(sg[:], value)
+		for _, streamed := range []bool{false, true} {
+			resp := &Response{ID: id, Body: body, Cacheability: int(cach),
+				CostNanos: cost, ExpiryUnixNanos: expiry, signature: sg}
+			if streamed {
+				resp.bodyStream, resp.bodyLen = bytes.NewReader(body), int64(len(body))
+			}
+			rf, err := encodeResponseFrame(OpRead, resp)
+			if err != nil {
+				t.Fatalf("encode read response: %v", err)
+			}
+			rgot, err := readResponseFrame(bufio.NewReader(bytes.NewReader(frameBytes(t, rf))))
+			if err != nil {
+				t.Fatalf("decode read response (streamed %v): %v", streamed, err)
+			}
+			if rgot.ID != id || !bytes.Equal(rgot.Body, body) || rgot.Cacheability != int(cach) ||
+				rgot.CostNanos != cost || rgot.ExpiryUnixNanos != expiry || rgot.signature != sg {
+				t.Fatalf("read response corrupted (streamed %v): got %+v want %+v", streamed, rgot, resp)
+			}
 		}
 
 		// Invalidation push: doc/user strings with arbitrary content.
@@ -267,11 +277,16 @@ func FuzzProtocolCrossVersion(f *testing.F) {
 		if err := v2c.CreateDocument(doc, "eyal", body); err != nil {
 			t.Fatal(err)
 		}
-		d1, _, e1 := v1c.Read(doc, "eyal")
-		d2, _, e2 := v2c.Read(doc, "eyal")
+		d1, r1, e1 := v1c.Read(doc, "eyal")
+		d2, r2, e2 := v2c.Read(doc, "eyal")
 		if e1 != nil || e2 != nil || !bytes.Equal(d1, d2) || !bytes.Equal(d1, body) {
 			t.Fatalf("read split: v1=(%d bytes,%v) v2=(%d bytes,%v) want %d bytes",
 				len(d1), e1, len(d2), e2, len(body))
+		}
+		// v2 carries the origin's signature, v1 hashes on decode: the
+		// two must agree with the body.
+		if want := sig.Of(body); r1.Signature != want || r2.Signature != want {
+			t.Fatalf("signature split: v1=%v v2=%v want %v", r1.Signature, r2.Signature, want)
 		}
 		// Write over v1, read over v2.
 		upd := append(append([]byte{}, body...), "-updated"...)

@@ -23,6 +23,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"placeless/internal/sig"
 )
 
 // Op identifies a request type.
@@ -150,6 +152,12 @@ type Response struct {
 	// payload trailer instead of re-scanning the body per response.
 	bodyCRC   uint32
 	bodyCRCOK bool
+
+	// signature is the content signature of a read body (zero for an
+	// uncacheable one), computed where the bytes were produced. v2
+	// carries it in the read metadata; it is unexported so gob never
+	// sends it, and the v1 client decoder fills it by hashing.
+	signature sig.Signature
 }
 
 // Match is one property-search hit (OpFind).

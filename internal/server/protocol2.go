@@ -26,6 +26,15 @@
 // skip it entirely. Error responses carry flagError with the error
 // string as payload.
 //
+// A Read response payload is a 33-byte metadata prefix — cacheability
+// (1), cost nanos (8), expiry nanos (8), and the body's content
+// signature (16, zero for uncacheable bodies) — then the body. It sets
+// flagSig, so a decoder from before the signature existed rejects the
+// frame as an unknown flag instead of reading the signature as body
+// bytes. The signature is computed once at the origin, where the bytes
+// are interned, and client tiers install under it instead of
+// re-hashing every fetched body.
+//
 // Version negotiation: a v2 client opens with an 8-byte magic preamble;
 // the server sniffs the first bytes of every accepted connection and
 // answers the magic with an ack before switching to v2 framing. Bytes
@@ -51,6 +60,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"placeless/internal/sig"
 )
 
 // Protocol versions a client can pin with WithProtocolVersion.
@@ -79,8 +90,9 @@ const (
 	// as a corrupt header, not an allocation request.
 	maxFramePayload = 64 << 20
 	// readMetaSize is the fixed metadata prefix of a Read response
-	// payload: cacheability (1) + cost nanos (8) + expiry nanos (8).
-	readMetaSize = 17
+	// payload: cacheability (1) + cost nanos (8) + expiry nanos (8) +
+	// content signature (sig.Size).
+	readMetaSize = 17 + sig.Size
 )
 
 // castagnoli is the CRC32-C table for frame trailers (hardware
@@ -115,6 +127,10 @@ const (
 	flagGob uint16 = 1 << 0
 	// flagError marks a response whose payload is the error string.
 	flagError uint16 = 1 << 1
+	// flagSig marks a Read response whose metadata carries the body's
+	// content signature. Every Read response sets it; decoders refuse
+	// a Read response without it (the pre-signature 17-byte layout).
+	flagSig uint16 = 1 << 2
 )
 
 // opInvalidate is the v2 wire op for server→client invalidation pushes
@@ -195,7 +211,7 @@ func readFrameHeader(br *bufio.Reader) (op Op, flags uint16, id uint64, plen int
 		return 0, 0, 0, 0, fmt.Errorf("server: bad v2 frame: unknown op 0x%02x", h[1])
 	}
 	flags = binary.BigEndian.Uint16(h[2:4])
-	if flags&^(flagGob|flagError) != 0 {
+	if flags&^(flagGob|flagError|flagSig) != 0 {
 		return 0, 0, 0, 0, fmt.Errorf("server: bad v2 frame: unknown flags 0x%04x", flags)
 	}
 	id = binary.BigEndian.Uint64(h[4:12])
@@ -286,7 +302,7 @@ func readRequestFrame(br *bufio.Reader) (*Request, error) {
 	if err != nil {
 		return nil, err
 	}
-	if op == opInvalidate || flags&flagError != 0 || id == 0 {
+	if op == opInvalidate || flags&(flagError|flagSig) != 0 || id == 0 {
 		return nil, fmt.Errorf("server: bad v2 request: op %v flags 0x%04x id %d", op, flags, id)
 	}
 	if flags&flagGob == 0 && (op == OpRead || op == OpSubscribe) && plen+frameTrailerSize <= br.Size() {
@@ -376,9 +392,10 @@ func encodeResponseFrame(op Op, resp *Response) (wireFrame, error) {
 		b = append(b, byte(resp.Cacheability))
 		b = binary.BigEndian.AppendUint64(b, uint64(resp.CostNanos))
 		b = binary.BigEndian.AppendUint64(b, uint64(resp.ExpiryUnixNanos))
+		b = append(b, resp.signature[:]...)
 		f := wireFrame{hdr: b, hdrPool: p}
 		if resp.bodyCRCOK {
-			// Stitch the trailer from the 17-byte metadata CRC and the
+			// Stitch the trailer from the metadata CRC and the
 			// cache's intern-time body CRC, so neither the inline nor
 			// the streamed path ever re-scans the body bytes.
 			bodyLen := int64(len(resp.Body))
@@ -389,11 +406,11 @@ func encodeResponseFrame(op Op, resp *Response) (wireFrame, error) {
 			f.hasTrailerCRC = true
 		}
 		if resp.bodyStream != nil {
-			putFrameHeader(b, op, 0, resp.ID, readMetaSize+int(resp.bodyLen))
+			putFrameHeader(b, op, flagSig, resp.ID, readMetaSize+int(resp.bodyLen))
 			f.bodyReader, f.bodyLen = resp.bodyStream, resp.bodyLen
 			return f, nil
 		}
-		putFrameHeader(b, op, 0, resp.ID, readMetaSize+len(resp.Body))
+		putFrameHeader(b, op, flagSig, resp.ID, readMetaSize+len(resp.Body))
 		f.body = resp.Body
 		return f, nil
 	case OpWrite, OpSubscribe:
@@ -438,6 +455,8 @@ func readResponseFrameInto(br *bufio.Reader, claim func(id uint64, n int) []byte
 		return nil, err
 	}
 	switch {
+	case flags&flagSig != 0 && (op != OpRead || flags&(flagGob|flagError) != 0):
+		return nil, fmt.Errorf("server: bad v2 response: op %v flags 0x%04x", op, flags)
 	case flags&flagError != 0:
 		payload := make([]byte, plen)
 		if _, err := io.ReadFull(br, payload); err != nil {
@@ -468,12 +487,15 @@ func readResponseFrameInto(br *bufio.Reader, claim func(id uint64, n int) []byte
 	}
 	switch op {
 	case OpRead:
+		if flags&flagSig == 0 {
+			return nil, errors.New("server: bad v2 read response: no signature flag")
+		}
 		if plen < readMetaSize {
 			return nil, errors.New("server: bad v2 read response: short metadata")
 		}
-		// The 17-byte metadata prefix parses in place from the buffered
-		// window; only the body lands in a fresh allocation — the one
-		// buffer the caller keeps.
+		// The metadata prefix parses in place from the buffered window;
+		// only the body lands in a fresh allocation — the one buffer
+		// the caller keeps.
 		meta, err := br.Peek(readMetaSize)
 		if len(meta) < readMetaSize {
 			if err == nil {
@@ -487,6 +509,7 @@ func readResponseFrameInto(br *bufio.Reader, claim func(id uint64, n int) []byte
 			CostNanos:       int64(binary.BigEndian.Uint64(meta[1:9])),
 			ExpiryUnixNanos: int64(binary.BigEndian.Uint64(meta[9:17])),
 		}
+		copy(resp.signature[:], meta[17:readMetaSize])
 		crc := crc32.Update(0, castagnoli, meta)
 		_, _ = br.Discard(readMetaSize)
 		var body []byte

@@ -17,6 +17,7 @@ import (
 	"placeless/internal/docspace"
 	"placeless/internal/event"
 	"placeless/internal/repo"
+	"placeless/internal/sig"
 	"placeless/internal/simnet"
 	"placeless/internal/store"
 )
@@ -95,18 +96,29 @@ func TestV2RequestRoundTrip(t *testing.T) {
 }
 
 func TestV2ResponseRoundTrip(t *testing.T) {
-	// Hot path: read with metadata and raw body.
-	in := &Response{ID: 9, Body: []byte("blob\x00\x02payload"), Cacheability: 3,
-		CostNanos: 123456789, ExpiryUnixNanos: 42}
-	got := responseOverWire(t, OpRead, in)
-	if got.ID != in.ID || !bytes.Equal(got.Body, in.Body) ||
-		got.Cacheability != in.Cacheability || got.CostNanos != in.CostNanos ||
-		got.ExpiryUnixNanos != in.ExpiryUnixNanos {
-		t.Errorf("read round trip = %+v, want %+v", got, in)
+	// Hot path: read with metadata, the origin's signature, and raw
+	// body, carried inline and streamed (bodyStream) alike.
+	body := []byte("blob\x00\x02payload")
+	for _, streamed := range []bool{false, true} {
+		in := &Response{ID: 9, Body: body, Cacheability: 3,
+			CostNanos: 123456789, ExpiryUnixNanos: 42, signature: sig.Of(body)}
+		if streamed {
+			in.bodyStream, in.bodyLen = bytes.NewReader(body), int64(len(body))
+		}
+		got := responseOverWire(t, OpRead, in)
+		if got.ID != in.ID || !bytes.Equal(got.Body, in.Body) ||
+			got.Cacheability != in.Cacheability || got.CostNanos != in.CostNanos ||
+			got.ExpiryUnixNanos != in.ExpiryUnixNanos || got.signature != in.signature {
+			t.Errorf("read round trip (streamed %v) = %+v, want %+v", streamed, got, in)
+		}
+	}
+	// An uncacheable read carries the zero signature through intact.
+	if got := responseOverWire(t, OpRead, &Response{ID: 9, Body: body, Cacheability: 2}); !got.signature.IsZero() {
+		t.Errorf("zero signature decoded as %v", got.signature)
 	}
 
 	// Error responses carry the string as payload regardless of op.
-	got = responseOverWire(t, OpRead, &Response{ID: 10, Err: "no such document"})
+	got := responseOverWire(t, OpRead, &Response{ID: 10, Err: "no such document"})
 	if got.ID != 10 || got.Err != "no such document" {
 		t.Errorf("error round trip = %+v", got)
 	}
@@ -126,7 +138,7 @@ func TestV2ResponseRoundTrip(t *testing.T) {
 	}
 
 	// Cold op riding gob-in-frame.
-	in = &Response{ID: 12, Stats: map[string]int64{"requests": 7},
+	in := &Response{ID: 12, Stats: map[string]int64{"requests": 7},
 		Actives: []string{"a", "b"}, Text: "desc",
 		Matches: []Match{{Doc: "d", Value: "v\t1", Level: "personal"}}}
 	got = responseOverWire(t, OpStats, in)
@@ -210,27 +222,68 @@ func TestV2HeaderValidation(t *testing.T) {
 }
 
 func TestV2ResponseChecksumRejectsCorruption(t *testing.T) {
-	f, err := encodeResponseFrame(OpRead, &Response{ID: 3, Body: []byte("payload"), Cacheability: 1})
+	body := []byte("payload")
+	f, err := encodeResponseFrame(OpRead, &Response{ID: 3, Body: body, Cacheability: 1, signature: sig.Of(body)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := frameBytes(t, f)
-	// Flip one body byte (past the 17-byte metadata prefix).
-	b[frameHeaderSize+readMetaSize] ^= 0x01
-	if _, err := readResponseFrame(bufio.NewReader(bytes.NewReader(b))); err == nil ||
-		!strings.Contains(err.Error(), "checksum mismatch") {
-		t.Fatalf("corrupted read body: err = %v", err)
+	valid := frameBytes(t, f)
+	// Flip one body byte (past the metadata prefix), then one byte of
+	// the signature (the last 16 bytes of the prefix): the trailer
+	// covers both.
+	for name, off := range map[string]int{
+		"body":      frameHeaderSize + readMetaSize,
+		"signature": frameHeaderSize + readMetaSize - sig.Size,
+	} {
+		b := append([]byte(nil), valid...)
+		b[off] ^= 0x01
+		if _, err := readResponseFrame(bufio.NewReader(bytes.NewReader(b))); err == nil ||
+			!strings.Contains(err.Error(), "checksum mismatch") {
+			t.Fatalf("corrupted read %s: err = %v", name, err)
+		}
 	}
 	// Empty-payload frames are covered too: their trailer is CRC(nil).
 	f, err = encodeResponseFrame(OpWrite, &Response{ID: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b = frameBytes(t, f)
+	b := frameBytes(t, f)
 	b[len(b)-2] ^= 0x01
 	if _, err := readResponseFrame(bufio.NewReader(bytes.NewReader(b))); err == nil ||
 		!strings.Contains(err.Error(), "checksum mismatch") {
 		t.Fatalf("corrupted empty-frame trailer: err = %v", err)
+	}
+}
+
+// TestV2ReadResponseRequiresSignatureFlag: a read response in the
+// pre-signature layout (17-byte metadata, no flagSig) is refused, not
+// misparsed with its first body bytes taken for a signature; and the
+// flag is refused anywhere but on a read response.
+func TestV2ReadResponseRequiresSignatureFlag(t *testing.T) {
+	frame := func(op Op, flags uint16, payload []byte) []byte {
+		b := make([]byte, frameHeaderSize, frameHeaderSize+len(payload)+frameTrailerSize)
+		putFrameHeader(b, op, flags, 7, len(payload))
+		b = append(b, payload...)
+		return binary.BigEndian.AppendUint32(b, crc32.Checksum(payload, castagnoli))
+	}
+	old := make([]byte, 17, 17+64)
+	old[0] = 1 // cacheability; cost and expiry zero
+	old = append(old, bytes.Repeat([]byte("legacy body "), 5)...)
+	if _, err := readResponseFrame(bufio.NewReader(bytes.NewReader(frame(OpRead, 0, old)))); err == nil ||
+		!strings.Contains(err.Error(), "no signature flag") {
+		t.Fatalf("old-layout read response: err = %v", err)
+	}
+	for _, op := range []Op{OpWrite, OpSubscribe, opInvalidate} {
+		if _, err := readResponseFrame(bufio.NewReader(bytes.NewReader(frame(op, flagSig, nil)))); err == nil {
+			t.Fatalf("%v response with the signature flag decoded", op)
+		}
+	}
+	if _, err := readResponseFrame(bufio.NewReader(bytes.NewReader(frame(OpRead, flagSig|flagError, []byte("boom"))))); err == nil {
+		t.Fatal("error response with the signature flag decoded")
+	}
+	req := frame(OpRead, flagSig, appendWireString(appendWireString(nil, "d"), "u"))
+	if _, err := readRequestFrame(bufio.NewReader(bytes.NewReader(req))); err == nil {
+		t.Fatal("request with the signature flag decoded")
 	}
 }
 

@@ -361,6 +361,7 @@ func (c *serverConn) tryFastRead(req *Request) (*Response, bool) {
 		ExpiryUnixNanos: expiryNanos(info.Expiry),
 		bodyCRC:         info.BodyCRC32C,
 		bodyCRCOK:       info.BodyCRCOK,
+		signature:       info.Signature, // a shared hit is always blob-resident
 	}
 	// No disk-tier stream here: the bytes are memory-resident (they
 	// alias the cache's blob storage), so one writev straight from the
@@ -529,6 +530,7 @@ func (s *Server) apply(req *Request) *Response {
 				Cacheability:    int(info.Cacheability),
 				CostNanos:       int64(info.Cost),
 				ExpiryUnixNanos: expiryNanos(info.Expiry),
+				signature:       readSignature(data, info.Cacheability, info.Signature),
 			}
 			s.maybeAttachStream(resp, info.Signature, len(data))
 			return resp
@@ -542,6 +544,7 @@ func (s *Server) apply(req *Request) *Response {
 			Cacheability:    int(res.Cacheability),
 			CostNanos:       int64(res.Cost),
 			ExpiryUnixNanos: expiryNanos(minTTLExpiry(res.Verifiers)),
+			signature:       readSignature(data, res.Cacheability, sig.Zero),
 		}
 
 	case OpWrite:
@@ -705,6 +708,20 @@ func contentAffecting(e event.Event) bool {
 	default:
 		return false
 	}
+}
+
+// readSignature is the signature a read response carries: zero for
+// uncacheable bytes, else the cache's intern-time signature s, hashed
+// here only when the cache has none — no cache, a closed cache, or a
+// read invalidated mid-flight that was served without being interned.
+func readSignature(data []byte, c property.Cacheability, s sig.Signature) sig.Signature {
+	if c == property.Uncacheable {
+		return sig.Zero
+	}
+	if s.IsZero() {
+		return sig.Of(data)
+	}
+	return s
 }
 
 // expiryNanos converts a TTL deadline to wire form (0 = none).

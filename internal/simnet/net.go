@@ -383,6 +383,14 @@ func (c *Conn) Write(b []byte) (int, error) {
 
 		case r < n.dropRate+n.reorderRate && !c.reorderSlotBusy():
 			c.mu.Lock()
+			if c.closed {
+				// Close ran after the check at the top: a message held
+				// now would stay counted in inflight with no Flush or
+				// Close left to release it.
+				c.mu.Unlock()
+				n.mu.Unlock()
+				return 0, net.ErrClosed
+			}
 			c.held, c.hasHeld = data, true
 			c.mu.Unlock()
 			n.inflight++

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -256,6 +257,36 @@ func TestNewPathWithRandIsDeterministic(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		if ca, cb := a.Cost(100), b.Cost(100); ca != cb {
 			t.Fatalf("draw %d: %v != %v", i, ca, cb)
+		}
+	}
+}
+
+// TestNetCloseDuringWriteLeaksNothing: a write racing Close on the
+// same conn must not leave a message held on the closed conn — it
+// would stay counted in Inflight with no Flush able to release it,
+// and a settle phase waiting for Inflight() == 0 would never end.
+func TestNetCloseDuringWriteLeaksNothing(t *testing.T) {
+	n, _ := newTestNet(t)
+	n.SetFaults(0, 1, 0, 0) // every write with a free slot is held
+	for i := 0; i < 200; i++ {
+		c, s := dialPair(t, n, fmt.Sprintf("srv%d", i))
+		started, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			close(started)
+			for {
+				if _, err := c.Write([]byte("racing")); err != nil {
+					return
+				}
+			}
+		}()
+		<-started
+		c.Close()
+		<-done
+		s.Close()
+		n.Flush()
+		if got := n.Inflight(); got != 0 {
+			t.Fatalf("iteration %d: Inflight = %d after the conn closed and the net flushed, want 0", i, got)
 		}
 	}
 }
