@@ -88,8 +88,8 @@ bench-e13:
 bench-e14:
 	$(GO) run ./cmd/plbench -experiment e14
 
-# Machine-readable E15 result: wire protocol v1 gob vs v2 pipelined
-# binary framing (throughput and allocs/op per blob size, loopback).
+# Machine-readable E15 result: the pipelined binary wire framing
+# (throughput and allocs/op per blob size, loopback).
 bench-e15:
 	$(GO) run ./cmd/plbench -experiment e15
 

@@ -137,10 +137,10 @@ func main() {
 			"Currently open client connections.",
 			func() int64 { _, _, c := srv.Counters(); return c })
 		reg.Counter("placeless_server_bytes_sent_total",
-			"Bytes written to client sockets across both wire protocol versions.",
+			"Bytes written to client sockets.",
 			func() int64 { s, _ := srv.WireBytes(); return s })
 		reg.Counter("placeless_server_bytes_received_total",
-			"Bytes read from client sockets across both wire protocol versions.",
+			"Bytes read from client sockets.",
 			func() int64 { _, r := srv.WireBytes(); return r })
 		mux := http.NewServeMux()
 		observer.Mount(mux)

@@ -23,7 +23,7 @@
 //	memo               universal-stage memoization fan-out (E12)
 //	obs                observability overhead + per-stage timings (E13)
 //	resilience         connection resilience: crash/restart + deadlines (E14)
-//	wire               wire protocol v1 gob vs v2 pipelined binary (E15)
+//	wire               wire protocol: pipelined binary framing (E15)
 //	cluster            consistent-hash cluster scaling (E16)
 //	prefix             longest-shared-prefix chain caching (E17)
 //	swarm              trace-driven swarm latency/staleness/cost frontier (E18)
@@ -152,8 +152,7 @@ func runIndexed(w *os.File, index string, seed int64, format string) error {
 	out := "BENCH_" + index + ".json"
 	switch index {
 	case "e15":
-		// E15's artifact carries the protocol name: CI asserts the
-		// v2-vs-v1 ratios out of BENCH_wire.json.
+		// E15's artifact carries the subsystem name: BENCH_wire.json.
 		out = "BENCH_wire.json"
 	case "e16":
 		// E16's artifact carries the subsystem name: CI asserts the
@@ -398,7 +397,7 @@ func resilienceTitle(cfg experiment.ResilienceConfig) string {
 
 // wireTitle renders E15's parameter line.
 func wireTitle(cfg experiment.WireConfig) string {
-	return fmt.Sprintf("E15 — wire protocol v1 gob vs v2 pipelined binary (ops=%d concurrency=%d sizes=%v, loopback TCP/real clock: compare the v2/v1 ratio rows)",
+	return fmt.Sprintf("E15 — wire protocol: pipelined binary framing (ops=%d concurrency=%d sizes=%v, loopback TCP/real clock: compare allocs/op and KB/op, not absolute rates)",
 		cfg.Ops, cfg.Concurrency, cfg.BlobSizes)
 }
 

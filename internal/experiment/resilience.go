@@ -279,35 +279,34 @@ func runResiliencePhase(cfg ResilienceConfig, policy remote.DegradedPolicy) (Res
 	return phase, nil
 }
 
-// measureWedgedCalls aims one-shot calls at a listener that accepts
-// connections and never answers, and returns the observed latency
-// distribution. Without a call deadline these would hang forever; with
-// one they cluster just above the deadline.
+// stallClock is the real clock except that Sleep blocks until release
+// is closed. A server charging its link cost on it completes the
+// handshake and accepts every request, but never answers one.
+type stallClock struct {
+	clock.Real
+	release chan struct{}
+}
+
+func (c stallClock) Sleep(time.Duration) { <-c.release }
+
+// measureWedgedCalls aims one-shot calls at a server that accepts
+// connections and requests and never answers, and returns the observed
+// latency distribution. Without a call deadline these would hang
+// forever; with one they cluster just above the deadline.
 func measureWedgedCalls(cfg ResilienceConfig) (p50, p99 time.Duration, err error) {
+	clk := stallClock{release: make(chan struct{})}
+	srv := server.New(docspace.New(clk, nil), nil)
+	srv.SetLinkCost(time.Nanosecond)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return 0, 0, err
 	}
-	defer ln.Close()
-	conns := make(chan net.Conn, cfg.WedgedCalls+1)
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			conns <- c // hold: never read, never answer
-		}
-	}()
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
 	defer func() {
-		for {
-			select {
-			case c := <-conns:
-				c.Close()
-			default:
-				return
-			}
-		}
+		srv.Close()
+		<-done
+		close(clk.release) // let the stalled handlers exit
 	}()
 
 	lat := make([]time.Duration, 0, cfg.WedgedCalls)

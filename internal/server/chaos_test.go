@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"io"
 	"net"
 	"reflect"
 	"sync"
@@ -124,8 +125,13 @@ func TestChaosWedgedServerCallTimeout(t *testing.T) {
 			if err != nil {
 				return
 			}
+			// Complete the handshake, then never read or answer again.
+			var magic [len(helloMagic)]byte
+			if _, err := io.ReadFull(c, magic[:]); err == nil {
+				_, _ = c.Write(helloAck[:])
+			}
 			mu.Lock()
-			held = append(held, c) // accept, never read, never answer
+			held = append(held, c)
 			mu.Unlock()
 		}
 	}()

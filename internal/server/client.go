@@ -80,7 +80,6 @@ type dialConfig struct {
 	dialer          Dialer
 	jitterSeed      int64
 	jitterSeeded    bool
-	protocol        int // ProtoAuto, ProtoV1, or ProtoV2
 }
 
 func defaultDialConfig() dialConfig {
@@ -164,16 +163,6 @@ func WithDialer(d Dialer) DialOption {
 	}
 }
 
-// WithProtocolVersion pins the wire protocol generation: ProtoV1
-// forces the legacy gob framing, ProtoV2 requires the binary protocol
-// (dialing a server without v2 support fails instead of downgrading),
-// and ProtoAuto — the default — negotiates v2 with automatic fallback
-// to v1. Negotiation runs on every connection, including each
-// background reconnect.
-func WithProtocolVersion(v int) DialOption {
-	return func(c *dialConfig) { c.protocol = v }
-}
-
 // WithJitterSeed fixes the PRNG behind reconnect backoff jitter so a
 // simulation run is reproducible from a single seed. Without it the
 // jitter is seeded from the wall clock, which is what a production
@@ -210,7 +199,7 @@ type pendingCall struct {
 	err error
 
 	// dst, when non-nil, is a caller-supplied buffer for the read body
-	// (ReadInto). The v2 read loop claims it under the client lock
+	// (ReadInto). The read loop claims it under the client lock
 	// before decoding the body off the socket, recording the claiming
 	// connection in claimed. Once claimed, only that connection's read
 	// loop may complete or fail the call (deliver the response, or
@@ -220,44 +209,13 @@ type pendingCall struct {
 	// delivery instead of abandoning a claimed call, and the generic
 	// pending flushes skip claimed calls.
 	dst     []byte
-	claimed wireConn
+	claimed *wireV2
 }
 
 // inval is one queued invalidation push.
 type inval struct{ doc, user string }
 
-// wireConn abstracts the two protocol generations on the client side:
-// the read loop, call path, and reconnect machinery are version-blind.
-type wireConn interface {
-	sendRequest(req *Request, writeTimeout time.Duration) error
-	readResponse() (*Response, error)
-	setReadDeadline(t time.Time) error
-	close() error
-}
-
-// wireV1 speaks the legacy gob framing.
-type wireV1 struct{ fc *frameConn }
-
-func (w wireV1) sendRequest(req *Request, d time.Duration) error { return w.fc.send(req, d) }
-
-func (w wireV1) readResponse() (*Response, error) {
-	var resp Response
-	if err := w.fc.dec.Decode(&resp); err != nil {
-		return nil, err
-	}
-	// Gob frames carry no signature and do not name their op, so every
-	// cacheable success frame is hashed here; on non-read ops that is
-	// the MD5 of an empty body.
-	if resp.ID != 0 && resp.Err == "" && property.Cacheability(resp.Cacheability) != property.Uncacheable {
-		resp.signature = sig.Of(resp.Body)
-	}
-	return &resp, nil
-}
-
-func (w wireV1) setReadDeadline(t time.Time) error { return w.fc.c.SetReadDeadline(t) }
-func (w wireV1) close() error                      { return w.fc.close() }
-
-// wireV2 speaks the binary protocol: encoded frames go through the
+// wireV2 is one established connection: encoded frames go through the
 // connection's single writer goroutine (which batches concurrent small
 // frames into one writev), responses decode off a buffered reader.
 type wireV2 struct {
@@ -273,17 +231,11 @@ type wireV2 struct {
 	closeErr  error
 }
 
-func (w *wireV2) sendRequest(req *Request, _ time.Duration) error {
-	// The write deadline is armed by the writer goroutine per batch.
-	f, err := encodeRequestFrame(req)
-	if err != nil {
-		return err
-	}
-	return w.fw.enqueue(f)
+// sendRequest queues one request frame; the writer goroutine arms the
+// write deadline per batch.
+func (w *wireV2) sendRequest(req *Request) error {
+	return w.fw.enqueue(encodeRequestFrame(req))
 }
-
-func (w *wireV2) readResponse() (*Response, error)  { return readResponseFrameInto(w.br, w.claim) }
-func (w *wireV2) setReadDeadline(t time.Time) error { return w.c.SetReadDeadline(t) }
 
 func (w *wireV2) close() error {
 	w.closeOnce.Do(func() {
@@ -310,8 +262,7 @@ type Client struct {
 	framesBatched atomic.Int64 // frames coalesced into multi-frame writevs
 
 	mu           sync.Mutex
-	wc           wireConn // nil while disconnected
-	proto        int      // negotiated version of the current connection
+	wc           *wireV2 // nil while disconnected
 	state        ConnState
 	epoch        uint64
 	nextID       uint64
@@ -356,51 +307,35 @@ func Dial(addr string, opts ...DialOption) (*Client, error) {
 		pending: make(map[uint64]*pendingCall),
 		rng:     rand.New(rand.NewSource(jitterSeed)),
 	}
-	wc, proto, err := c.connect()
+	wc, err := c.connect()
 	if err != nil {
 		return nil, err
 	}
 	c.wc = wc
-	c.proto = proto
 	c.invalCond = sync.NewCond(&c.invalMu)
 	go c.dispatchInvals()
 	go c.readLoop(wc)
 	return c, nil
 }
 
-// connect dials and negotiates the protocol version, returning the
-// established wire and the version it speaks.
-func (c *Client) connect() (wireConn, int, error) {
+// connect dials and runs the handshake, returning the established
+// wire.
+func (c *Client) connect() (*wireV2, error) {
 	conn, err := c.cfg.dialer(c.addr, c.cfg.dialTimeout)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	if c.cfg.protocol == ProtoV1 {
-		return wireV1{fc: newFrameConn(conn)}, ProtoV1, nil
-	}
-	wc, herr := c.handshakeV2(conn)
-	if herr == nil {
-		return wc, ProtoV2, nil
-	}
-	conn.Close()
-	if c.cfg.protocol == ProtoV2 {
-		return nil, 0, fmt.Errorf("server: v2 handshake failed: %w", herr)
-	}
-	// Downgrade path. The magic preamble has already poisoned a legacy
-	// server's gob stream (that is how the refusal manifests), so v1
-	// needs a fresh connection rather than reusing this one.
-	conn, err = c.cfg.dialer(c.addr, c.cfg.dialTimeout)
+	wc, err := c.handshake(conn)
 	if err != nil {
-		return nil, 0, err
+		conn.Close()
+		return nil, fmt.Errorf("server: handshake failed: %w", err)
 	}
-	return wireV1{fc: newFrameConn(conn)}, ProtoV1, nil
+	return wc, nil
 }
 
-// handshakeV2 sends the v2 magic and waits (bounded by the dial
-// timeout) for the server's ack. Any failure — a legacy server closing
-// the connection after a gob decode error, or silence until the
-// deadline — means "the server does not speak v2".
-func (c *Client) handshakeV2(conn net.Conn) (*wireV2, error) {
+// handshake sends the magic and waits (bounded by the dial timeout)
+// for the server's ack, proving the peer is a Placeless server.
+func (c *Client) handshake(conn net.Conn) (*wireV2, error) {
 	if c.cfg.dialTimeout > 0 {
 		_ = conn.SetDeadline(time.Now().Add(c.cfg.dialTimeout))
 	}
@@ -425,18 +360,9 @@ func (c *Client) handshakeV2(conn net.Conn) (*wireV2, error) {
 	return w, nil
 }
 
-// ProtocolVersion reports the negotiated protocol generation of the
-// current connection (ProtoV1 or ProtoV2); after a reconnect it
-// reflects the fresh negotiation.
-func (c *Client) ProtocolVersion() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.proto
-}
-
 // FramesBatched returns how many outbound frames were coalesced into
-// multi-frame writev batches by the v2 writer (0 on v1 connections) —
-// the pipelining win made visible for metrics and benchmarks.
+// multi-frame writev batches by the connection writer — the pipelining
+// win made visible for metrics and benchmarks.
 func (c *Client) FramesBatched() int64 { return c.framesBatched.Load() }
 
 // OnInvalidate registers the handler for server-pushed invalidations.
@@ -565,12 +491,12 @@ func (c *Client) dispatchInvals() {
 
 // readLoop demultiplexes responses and notifications for one
 // connection; it exits (via connFailed) when the connection dies.
-func (c *Client) readLoop(wc wireConn) {
+func (c *Client) readLoop(wc *wireV2) {
 	for {
 		if c.cfg.readIdleTimeout > 0 {
-			_ = wc.setReadDeadline(time.Now().Add(c.cfg.readIdleTimeout))
+			_ = wc.c.SetReadDeadline(time.Now().Add(c.cfg.readIdleTimeout))
 		}
-		resp, err := wc.readResponse()
+		resp, err := readResponseFrameInto(wc.br, wc.claim)
 		if err != nil {
 			c.connFailed(wc, err)
 			// connFailed skips calls claimed by this connection's
@@ -599,7 +525,7 @@ func (c *Client) readLoop(wc wireConn) {
 // background reconnector starts. Safe to call from multiple goroutines
 // and multiple times; only the first caller for a given connection
 // does the work.
-func (c *Client) connFailed(wc wireConn, err error) {
+func (c *Client) connFailed(wc *wireV2, err error) {
 	c.mu.Lock()
 	if c.wc != wc {
 		c.mu.Unlock()
@@ -658,7 +584,7 @@ func (c *Client) reconnectLoop() {
 		}
 		c.mu.Unlock()
 
-		wc, proto, err := c.connect()
+		wc, err := c.connect()
 		if err == nil {
 			c.mu.Lock()
 			if c.closed {
@@ -668,7 +594,6 @@ func (c *Client) reconnectLoop() {
 				return
 			}
 			c.wc = wc
-			c.proto = proto
 			c.epoch++
 			epoch := c.epoch
 			c.state = StateConnected
@@ -704,13 +629,13 @@ func (c *Client) reconnectLoop() {
 	}
 }
 
-// claimReadDst is the v2 read loop's destination hook: if the call id
+// claimReadDst is the read loop's destination hook: if the call id
 // has a registered ReadInto buffer with capacity for an n-byte body,
 // mark it claimed and hand it over sized to n. Claiming and the
 // timeout path are serialized on c.mu, so the buffer is never handed
 // to the decoder after its owner has abandoned the call and taken the
 // buffer back.
-func (c *Client) claimReadDst(wc wireConn, id uint64, n int) []byte {
+func (c *Client) claimReadDst(wc *wireV2, id uint64, n int) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	pc := c.pending[id]
@@ -725,7 +650,7 @@ func (c *Client) claimReadDst(wc wireConn, id uint64, n int) []byte {
 // wc's read loop goroutine after the loop has exited, which is the
 // only point where a claimed destination buffer is provably no longer
 // being written by the decoder.
-func (c *Client) flushClaimed(wc wireConn) {
+func (c *Client) flushClaimed(wc *wireV2) {
 	c.mu.Lock()
 	failErr := error(ErrDisconnected)
 	if c.closed {
@@ -767,7 +692,7 @@ func (c *Client) callDst(req *Request, dst []byte) (*Response, error) {
 	c.pending[req.ID] = pc
 	c.mu.Unlock()
 
-	if err := wc.sendRequest(req, c.cfg.writeTimeout); err != nil {
+	if err := wc.sendRequest(req); err != nil {
 		c.mu.Lock()
 		delete(c.pending, req.ID)
 		closed := c.closed
@@ -892,15 +817,13 @@ func readMeta(resp *Response) ReadMeta {
 }
 
 // ReadInto is Read with a caller-supplied body buffer, the client
-// half of the zero-copy blob path. On a v2 connection, when buf has
-// capacity for the body, the read loop decodes the body from the
-// socket directly into buf — no per-read body allocation — and the
-// returned slice aliases buf. When buf is too small, or the
-// connection speaks v1 (gob decides its own allocations), the body
-// lands in a fresh allocation and buf is unused; callers must
-// therefore use the returned slice, not buf. buf must not be read,
-// written, or handed to another ReadInto until the call returns; on
-// error its contents are undefined.
+// half of the zero-copy blob path. When buf has capacity for the body,
+// the read loop decodes the body from the socket directly into buf —
+// no per-read body allocation — and the returned slice aliases buf.
+// When buf is too small the body lands in a fresh allocation and buf
+// is unused; callers must therefore use the returned slice, not buf.
+// buf must not be read, written, or handed to another ReadInto until
+// the call returns; on error its contents are undefined.
 func (c *Client) ReadInto(doc, user string, buf []byte) ([]byte, ReadMeta, error) {
 	resp, err := c.callDst(&Request{Op: OpRead, Doc: doc, User: user}, buf)
 	if err != nil {

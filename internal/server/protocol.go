@@ -6,23 +6,15 @@
 // which mirrors the local Space API; notifier invalidations are pushed
 // to connected clients over the same connection.
 //
-// Two wire protocols share one port. Protocol v1 (this file) is
-// length-prefixed gob frames: every request carries a client-chosen
-// ID, every response echoes it, and server-initiated notification
-// frames use ID 0. Protocol v2 (protocol2.go) is a negotiated binary
-// framing that carries blob payloads as raw byte ranges; the server
-// sniffs the v2 magic preamble on each accepted connection and falls
-// back to gob for everything else, so v1 clients keep working
-// unchanged.
+// This file defines the operations and the Request/Response values
+// they exchange; protocol2.go is the binary framing that carries them.
+// Every request carries a client-chosen ID, every response echoes it,
+// and server-initiated invalidation pushes use ID 0.
 package server
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
-	"net"
-	"sync"
-	"time"
 
 	"placeless/internal/sig"
 )
@@ -138,11 +130,9 @@ type Response struct {
 	Matches []Match
 
 	// bodyStream, when non-nil, carries the read body as a stream of
-	// bodyLen bytes straight from the durable content-addressed tier.
-	// Protocol v2 connections write it to the socket without staging;
-	// v1's gob framing ignores unexported fields and marshals Body,
-	// which stays populated either way so both framings serve
-	// identical bytes.
+	// bodyLen bytes straight from the durable content-addressed tier,
+	// written to the socket without staging. Body stays populated
+	// either way.
 	bodyStream io.Reader
 	bodyLen    int64
 
@@ -154,9 +144,9 @@ type Response struct {
 	bodyCRCOK bool
 
 	// signature is the content signature of a read body (zero for an
-	// uncacheable one), computed where the bytes were produced. v2
-	// carries it in the read metadata; it is unexported so gob never
-	// sends it, and the v1 client decoder fills it by hashing.
+	// uncacheable one), computed where the bytes were produced and
+	// carried in the read metadata, so no receiving tier hashes it
+	// again.
 	signature sig.Signature
 }
 
@@ -169,58 +159,4 @@ type Match struct {
 	// Level reports where the property is attached
 	// ("universal"/"personal").
 	Level string
-}
-
-// frame writes/reads gob values over a connection with a lock for
-// concurrent writers.
-type frameConn struct {
-	c    net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-	wmu  sync.Mutex
-	once sync.Once
-}
-
-func newFrameConn(c net.Conn) *frameConn {
-	return &frameConn{c: c, enc: gob.NewEncoder(c), dec: gob.NewDecoder(c)}
-}
-
-// newFrameConnRW is newFrameConn with the gob streams routed through r
-// and w instead of the raw connection. The server uses it to feed the
-// decoder from the protocol-sniffing buffered reader and to thread
-// byte counters into both directions; c remains the handle for
-// deadlines and close.
-func newFrameConnRW(c net.Conn, r io.Reader, w io.Writer) *frameConn {
-	return &frameConn{c: c, enc: gob.NewEncoder(w), dec: gob.NewDecoder(r)}
-}
-
-// send encodes one frame. writeTimeout > 0 arms a write deadline on
-// the connection first, so a peer that stops draining its socket
-// fails the writer instead of wedging it; zero leaves the connection
-// deadline-free.
-func (f *frameConn) send(v interface{}, writeTimeout time.Duration) error {
-	f.wmu.Lock()
-	defer f.wmu.Unlock()
-	if writeTimeout > 0 {
-		_ = f.c.SetWriteDeadline(time.Now().Add(writeTimeout))
-	}
-	return f.enc.Encode(v)
-}
-
-func (f *frameConn) close() error {
-	var err error
-	f.once.Do(func() { err = f.c.Close() })
-	return err
-}
-
-// isClosedErr reports whether err is the normal end of a connection.
-func isClosedErr(err error) bool {
-	if err == nil {
-		return false
-	}
-	if err == io.EOF {
-		return true
-	}
-	ne, ok := err.(net.Error)
-	return ok && !ne.Timeout()
 }

@@ -1,13 +1,9 @@
-// Binary wire protocol v2.
+// Binary wire protocol (v2, the version byte every frame carries).
 //
-// The v1 protocol carries every frame through encoding/gob: correct,
-// but each Read response re-encodes the full blob through a reflection
-// encoder and copies it through staging buffers between the signature
-// store and the socket, and concurrent calls serialize on the per-frame
-// encode mutex. Protocol v2 replaces that framing for the hot ops with
-// hand-written codecs over a fixed header, so blob payloads travel as
-// raw byte ranges — never re-encoded — and a single writer goroutine
-// batches small frames into one writev (net.Buffers) per wakeup.
+// Every op has a hand-written codec over a fixed header: no
+// reflection, and blob payloads travel as raw byte ranges — never
+// re-encoded — while a single writer goroutine batches small frames
+// into one writev (net.Buffers) per wakeup.
 //
 // Frame layout (16-byte header, big-endian multi-byte fields):
 //
@@ -19,12 +15,24 @@
 //	offset 16 payload
 //	          payload CRC32-C (4 bytes)
 //
-// Hot ops (Read, Write, Subscribe, the invalidation push) encode their
-// payloads by hand: uvarint-length-prefixed strings followed by the raw
-// body bytes. Everything else rides inside a v2 frame as a gob-encoded
-// Request/Response (flagGob) — cold ops keep gob's flexibility, hot ops
-// skip it entirely. Error responses carry flagError with the error
-// string as payload.
+// Strings are uvarint-length-prefixed. Request payloads:
+//
+//	Read, Subscribe  doc, user
+//	Write            doc, user, then the body as the payload remainder
+//	every other op   doc, user, personal (1 byte, 0 or 1), property,
+//	                 value, then the body as the payload remainder
+//
+// Response payloads, by the request's op (echoed in the header):
+//
+//	Read          33-byte metadata, then the body (see below)
+//	Stats         uvarint count, then (name, varint value) pairs
+//	ListActives   uvarint count, then names
+//	Describe      the text, one string
+//	Find          uvarint count, then (doc, value, level) triples
+//	every other   empty
+//
+// The invalidation push (opInvalidate, ID 0) carries doc, user. Error
+// responses carry flagError with the error string as payload.
 //
 // A Read response payload is a 33-byte metadata prefix — cacheability
 // (1), cost nanos (8), expiry nanos (8), and the body's content
@@ -35,23 +43,18 @@
 // are interned, and client tiers install under it instead of
 // re-hashing every fetched body.
 //
-// Version negotiation: a v2 client opens with an 8-byte magic preamble;
-// the server sniffs the first bytes of every accepted connection and
-// answers the magic with an ack before switching to v2 framing. Bytes
-// that are not the magic flow unread into the v1 gob decoder, so legacy
-// clients work untouched. Against a legacy server the preamble poisons
-// the gob stream — the old decoder errors and drops the connection —
-// which the client treats as "no ack": it redials and speaks v1. The
-// decoder validates every header field strictly, so a corrupted or
+// Handshake: a client opens with an 8-byte magic preamble and the
+// server answers with an 8-byte ack — an identity check that the peer
+// is a Placeless server speaking this framing. A peer that does not
+// send the magic within handshakeTimeout has its connection closed.
+// The decoder validates every header field strictly, so a corrupted or
 // reordered byte stream (the simulator's fault model) fails the
-// connection exactly like a gob desync does on v1.
+// connection rather than being misparsed.
 package server
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -64,27 +67,16 @@ import (
 	"placeless/internal/sig"
 )
 
-// Protocol versions a client can pin with WithProtocolVersion.
 const (
-	// ProtoAuto negotiates v2 and falls back to v1 when the server does
-	// not answer the handshake (a legacy binary).
-	ProtoAuto = 0
-	// ProtoV1 pins the legacy gob framing.
-	ProtoV1 = 1
-	// ProtoV2 requires the binary protocol; dialing a v1-only server
-	// fails instead of downgrading.
-	ProtoV2 = 2
-)
-
-const (
+	// wireVersion is the header's version byte.
+	wireVersion     = 0x02
 	frameHeaderSize = 16
 	// frameTrailerSize is the CRC32-C of the payload, appended after
 	// it. The header is validated structurally; the trailer is what
 	// catches corruption inside a raw payload, where the bytes are
 	// arbitrary and validation has nothing to check. Without it a
 	// partially-lost frame could silently splice later frames into a
-	// blob body — gob's self-describing stream desyncs loudly there,
-	// and a raw binary framing must fail just as loudly.
+	// blob body; a raw binary framing must fail loudly there instead.
 	frameTrailerSize = 4
 	// maxFramePayload bounds a single frame; anything larger is treated
 	// as a corrupt header, not an allocation request.
@@ -96,8 +88,7 @@ const (
 )
 
 // castagnoli is the CRC32-C table for frame trailers (hardware
-// accelerated on amd64/arm64, so checksumming costs far less than the
-// gob round trip it replaces).
+// accelerated on amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // readTrailer consumes a frame's CRC trailer and verifies it against
@@ -122,9 +113,6 @@ func readTrailer(br *bufio.Reader, crc uint32) error {
 
 // Frame flags.
 const (
-	// flagGob marks a payload that is a gob-encoded Request/Response
-	// (the cold-op fallback inside a v2 frame).
-	flagGob uint16 = 1 << 0
 	// flagError marks a response whose payload is the error string.
 	flagError uint16 = 1 << 1
 	// flagSig marks a Read response whose metadata carries the body's
@@ -133,14 +121,11 @@ const (
 	flagSig uint16 = 1 << 2
 )
 
-// opInvalidate is the v2 wire op for server→client invalidation pushes
-// (v1 signals them with ID 0 on an ordinary Response). Never valid in
-// a request.
+// opInvalidate is the wire op for server→client invalidation pushes,
+// which carry ID 0. Never valid in a request.
 const opInvalidate Op = 0x7f
 
-// helloMagic opens every v2 connection. The leading zero byte makes a
-// legacy gob server fail fast: gob reads it as an empty message and
-// errors, closing the connection, which the dialer reads as "speak v1".
+// helloMagic opens every connection.
 var helloMagic = [8]byte{0x00, 'P', 'L', 'W', 'R', 'E', 'v', '2'}
 
 // helloAck is the server's answer to helloMagic.
@@ -183,7 +168,7 @@ func putSmallBuf(p *[]byte, b []byte) {
 
 // putFrameHeader writes the fixed header into b[:frameHeaderSize].
 func putFrameHeader(b []byte, op Op, flags uint16, id uint64, plen int) {
-	b[0] = ProtoV2
+	b[0] = wireVersion
 	b[1] = byte(op)
 	binary.BigEndian.PutUint16(b[2:4], flags)
 	binary.BigEndian.PutUint64(b[4:12], id)
@@ -192,8 +177,8 @@ func putFrameHeader(b []byte, op Op, flags uint16, id uint64, plen int) {
 
 // readFrameHeader reads and strictly validates one header. Any
 // malformation — wrong version byte, unknown op or flag, oversized
-// payload — is a connection-fatal error, mirroring a gob desync: the
-// byte stream behind it cannot be trusted.
+// payload — is a connection-fatal error: the byte stream behind it
+// cannot be trusted.
 func readFrameHeader(br *bufio.Reader) (op Op, flags uint16, id uint64, plen int, err error) {
 	// Parsed in place from the buffered window; see readTrailer for why.
 	h, err := br.Peek(frameHeaderSize)
@@ -203,7 +188,7 @@ func readFrameHeader(br *bufio.Reader) (op Op, flags uint16, id uint64, plen int
 		}
 		return 0, 0, 0, 0, err
 	}
-	if h[0] != ProtoV2 {
+	if h[0] != wireVersion {
 		return 0, 0, 0, 0, fmt.Errorf("server: bad v2 frame: version byte 0x%02x", h[0])
 	}
 	op = Op(h[1])
@@ -211,7 +196,7 @@ func readFrameHeader(br *bufio.Reader) (op Op, flags uint16, id uint64, plen int
 		return 0, 0, 0, 0, fmt.Errorf("server: bad v2 frame: unknown op 0x%02x", h[1])
 	}
 	flags = binary.BigEndian.Uint16(h[2:4])
-	if flags&^(flagGob|flagError|flagSig) != 0 {
+	if flags&^(flagError|flagSig) != 0 {
 		return 0, 0, 0, 0, fmt.Errorf("server: bad v2 frame: unknown flags 0x%04x", flags)
 	}
 	id = binary.BigEndian.Uint64(h[4:12])
@@ -236,6 +221,17 @@ func readWireString(p []byte) (string, []byte, error) {
 		return "", nil, errors.New("server: bad v2 frame: truncated string")
 	}
 	return string(p[sz : sz+int(n)]), p[sz+int(n):], nil
+}
+
+// readWireCount consumes a uvarint element count from p. Each element
+// takes at least minSize payload bytes, so a count the payload cannot
+// hold is rejected before anything is allocated for it.
+func readWireCount(p []byte, minSize int) (int, []byte, error) {
+	n, sz := binary.Uvarint(p)
+	if sz <= 0 || n > uint64((len(p)-sz)/minSize) {
+		return 0, nil, errors.New("server: bad v2 frame: truncated count")
+	}
+	return int(n), p[sz:], nil
 }
 
 // crcWriter accumulates the payload CRC of a streamed frame while the
@@ -269,31 +265,28 @@ type wireFrame struct {
 	hasTrailerCRC bool
 }
 
-// encodeRequestFrame renders one client→server frame. Hot ops are
-// hand-encoded; the rest travel as gob-in-frame.
-func encodeRequestFrame(req *Request) (wireFrame, error) {
+// encodeRequestFrame renders one client→server frame.
+func encodeRequestFrame(req *Request) wireFrame {
+	p, b := getSmallBuf()
+	b = appendWireString(b, req.Doc)
+	b = appendWireString(b, req.User)
+	var body []byte
 	switch req.Op {
 	case OpRead, OpSubscribe:
-		p, b := getSmallBuf()
-		b = appendWireString(b, req.Doc)
-		b = appendWireString(b, req.User)
-		putFrameHeader(b, req.Op, 0, req.ID, len(b)-frameHeaderSize)
-		return wireFrame{hdr: b, hdrPool: p}, nil
 	case OpWrite:
-		p, b := getSmallBuf()
-		b = appendWireString(b, req.Doc)
-		b = appendWireString(b, req.User)
-		putFrameHeader(b, OpWrite, 0, req.ID, len(b)-frameHeaderSize+len(req.Body))
-		return wireFrame{hdr: b, hdrPool: p, body: req.Body}, nil
+		body = req.Body
 	default:
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(req); err != nil {
-			return wireFrame{}, err
+		var personal byte
+		if req.Personal {
+			personal = 1
 		}
-		p, b := getSmallBuf()
-		putFrameHeader(b, req.Op, flagGob, req.ID, buf.Len())
-		return wireFrame{hdr: b, hdrPool: p, body: buf.Bytes()}, nil
+		b = append(b, personal)
+		b = appendWireString(b, req.Property)
+		b = appendWireString(b, req.Value)
+		body = req.Body
 	}
+	putFrameHeader(b, req.Op, 0, req.ID, len(b)-frameHeaderSize+len(body))
+	return wireFrame{hdr: b, hdrPool: p, body: body}
 }
 
 // readRequestFrame decodes one client→server frame.
@@ -302,10 +295,11 @@ func readRequestFrame(br *bufio.Reader) (*Request, error) {
 	if err != nil {
 		return nil, err
 	}
-	if op == opInvalidate || flags&(flagError|flagSig) != 0 || id == 0 {
+	if op == opInvalidate || flags != 0 || id == 0 {
 		return nil, fmt.Errorf("server: bad v2 request: op %v flags 0x%04x id %d", op, flags, id)
 	}
-	if flags&flagGob == 0 && (op == OpRead || op == OpSubscribe) && plen+frameTrailerSize <= br.Size() {
+	req := &Request{ID: id, Op: op}
+	if (op == OpRead || op == OpSubscribe) && plen+frameTrailerSize <= br.Size() {
 		// Hot-op fast path: the tiny doc+user payload and its trailer
 		// are decoded in place from the buffered window — the strings
 		// copy out, the payload itself is never allocated.
@@ -320,16 +314,8 @@ func readRequestFrame(br *bufio.Reader) (*Request, error) {
 		if binary.BigEndian.Uint32(win[plen:]) != crc32.Checksum(payload, castagnoli) {
 			return nil, errors.New("server: bad v2 frame: payload checksum mismatch")
 		}
-		req := &Request{ID: id, Op: op}
-		rest := payload
-		if req.Doc, rest, err = readWireString(rest); err != nil {
+		if err := decodeRequest(req, payload); err != nil {
 			return nil, err
-		}
-		if req.User, rest, err = readWireString(rest); err != nil {
-			return nil, err
-		}
-		if len(rest) != 0 {
-			return nil, errors.New("server: bad v2 frame: trailing bytes")
 		}
 		_, _ = br.Discard(plen + frameTrailerSize)
 		return req, nil
@@ -341,54 +327,59 @@ func readRequestFrame(br *bufio.Reader) (*Request, error) {
 	if err := readTrailer(br, crc32.Checksum(payload, castagnoli)); err != nil {
 		return nil, err
 	}
-	if flags&flagGob != 0 {
-		var req Request
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&req); err != nil {
-			return nil, fmt.Errorf("server: bad v2 gob request: %w", err)
-		}
-		req.ID = id
-		return &req, nil
-	}
-	req := &Request{ID: id, Op: op}
-	rest := payload
-	switch op {
-	case OpRead, OpSubscribe:
-		if req.Doc, rest, err = readWireString(rest); err != nil {
-			return nil, err
-		}
-		if req.User, rest, err = readWireString(rest); err != nil {
-			return nil, err
-		}
-		if len(rest) != 0 {
-			return nil, errors.New("server: bad v2 frame: trailing bytes")
-		}
-	case OpWrite:
-		if req.Doc, rest, err = readWireString(rest); err != nil {
-			return nil, err
-		}
-		if req.User, rest, err = readWireString(rest); err != nil {
-			return nil, err
-		}
-		req.Body = rest // the remainder of the payload, no copy
-	default:
-		return nil, fmt.Errorf("server: bad v2 frame: op %v requires the gob flag", op)
+	if err := decodeRequest(req, payload); err != nil {
+		return nil, err
 	}
 	return req, nil
+}
+
+// decodeRequest fills req's fields from its op's payload layout. A
+// body aliases payload (no copy), so only Read and Subscribe may be
+// decoded from a borrowed buffer.
+func decodeRequest(req *Request, payload []byte) (err error) {
+	rest := payload
+	if req.Doc, rest, err = readWireString(rest); err != nil {
+		return err
+	}
+	if req.User, rest, err = readWireString(rest); err != nil {
+		return err
+	}
+	switch req.Op {
+	case OpRead, OpSubscribe:
+		if len(rest) != 0 {
+			return errors.New("server: bad v2 frame: trailing bytes")
+		}
+		return nil
+	case OpWrite:
+		req.Body = rest
+		return nil
+	}
+	if len(rest) == 0 || rest[0] > 1 {
+		return errors.New("server: bad v2 frame: bad personal byte")
+	}
+	req.Personal = rest[0] == 1
+	if req.Property, rest, err = readWireString(rest[1:]); err != nil {
+		return err
+	}
+	if req.Value, rest, err = readWireString(rest); err != nil {
+		return err
+	}
+	req.Body = rest
+	return nil
 }
 
 // encodeResponseFrame renders one server→client frame for op (the
 // request's op, echoed so the client knows how to decode the payload;
 // opInvalidate for pushes).
-func encodeResponseFrame(op Op, resp *Response) (wireFrame, error) {
+func encodeResponseFrame(op Op, resp *Response) wireFrame {
+	p, b := getSmallBuf()
 	if resp.Err != "" {
-		p, b := getSmallBuf()
 		b = append(b, resp.Err...)
 		putFrameHeader(b, op, flagError, resp.ID, len(b)-frameHeaderSize)
-		return wireFrame{hdr: b, hdrPool: p}, nil
+		return wireFrame{hdr: b, hdrPool: p}
 	}
 	switch op {
 	case OpRead:
-		p, b := getSmallBuf()
 		b = append(b, byte(resp.Cacheability))
 		b = binary.BigEndian.AppendUint64(b, uint64(resp.CostNanos))
 		b = binary.BigEndian.AppendUint64(b, uint64(resp.ExpiryUnixNanos))
@@ -408,34 +399,41 @@ func encodeResponseFrame(op Op, resp *Response) (wireFrame, error) {
 		if resp.bodyStream != nil {
 			putFrameHeader(b, op, flagSig, resp.ID, readMetaSize+int(resp.bodyLen))
 			f.bodyReader, f.bodyLen = resp.bodyStream, resp.bodyLen
-			return f, nil
+			return f
 		}
 		putFrameHeader(b, op, flagSig, resp.ID, readMetaSize+len(resp.Body))
 		f.body = resp.Body
-		return f, nil
-	case OpWrite, OpSubscribe:
-		p, b := getSmallBuf()
-		putFrameHeader(b, op, 0, resp.ID, 0)
-		return wireFrame{hdr: b, hdrPool: p}, nil
+		return f
 	case opInvalidate:
-		p, b := getSmallBuf()
 		b = appendWireString(b, resp.NotifyDoc)
 		b = appendWireString(b, resp.NotifyUser)
-		putFrameHeader(b, opInvalidate, 0, 0, len(b)-frameHeaderSize)
-		return wireFrame{hdr: b, hdrPool: p}, nil
-	default:
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(resp); err != nil {
-			return wireFrame{}, err
+	case OpStats:
+		b = binary.AppendUvarint(b, uint64(len(resp.Stats)))
+		for name, v := range resp.Stats {
+			b = appendWireString(b, name)
+			b = binary.AppendVarint(b, v)
 		}
-		p, b := getSmallBuf()
-		putFrameHeader(b, op, flagGob, resp.ID, buf.Len())
-		return wireFrame{hdr: b, hdrPool: p, body: buf.Bytes()}, nil
+	case OpListActives:
+		b = binary.AppendUvarint(b, uint64(len(resp.Actives)))
+		for _, name := range resp.Actives {
+			b = appendWireString(b, name)
+		}
+	case OpDescribe:
+		b = appendWireString(b, resp.Text)
+	case OpFind:
+		b = binary.AppendUvarint(b, uint64(len(resp.Matches)))
+		for _, m := range resp.Matches {
+			b = appendWireString(b, m.Doc)
+			b = appendWireString(b, m.Value)
+			b = appendWireString(b, m.Level)
+		}
 	}
+	putFrameHeader(b, op, 0, resp.ID, len(b)-frameHeaderSize)
+	return wireFrame{hdr: b, hdrPool: p}
 }
 
 // readResponseFrame decodes one server→client frame. Read bodies are
-// read straight into an exact-size caller-owned allocation — no gob
+// read straight into an exact-size caller-owned allocation — no
 // staging, no oversized scratch.
 func readResponseFrame(br *bufio.Reader) (*Response, error) {
 	return readResponseFrameInto(br, nil)
@@ -454,110 +452,151 @@ func readResponseFrameInto(br *bufio.Reader, claim func(id uint64, n int) []byte
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case flags&flagSig != 0 && (op != OpRead || flags&(flagGob|flagError) != 0):
+	if flags&flagSig != 0 && (op != OpRead || flags&flagError != 0) {
 		return nil, fmt.Errorf("server: bad v2 response: op %v flags 0x%04x", op, flags)
-	case flags&flagError != 0:
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil, err
-		}
-		if err := readTrailer(br, crc32.Checksum(payload, castagnoli)); err != nil {
-			return nil, err
-		}
+	}
+	if op == OpRead && flags&flagError == 0 {
+		return readReadResponse(br, claim, flags, id, plen)
+	}
+	payload := make([]byte, plen)
+	if _, err := io.ReadFull(br, payload); err != nil {
+		return nil, err
+	}
+	if err := readTrailer(br, crc32.Checksum(payload, castagnoli)); err != nil {
+		return nil, err
+	}
+	if flags&flagError != 0 {
 		e := string(payload)
 		if e == "" {
 			e = "unknown server error"
 		}
 		return &Response{ID: id, Err: e}, nil
-	case flags&flagGob != 0:
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil, err
-		}
-		if err := readTrailer(br, crc32.Checksum(payload, castagnoli)); err != nil {
-			return nil, err
-		}
-		var resp Response
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&resp); err != nil {
-			return nil, fmt.Errorf("server: bad v2 gob response: %w", err)
-		}
-		resp.ID = id
-		return &resp, nil
 	}
+	resp := &Response{ID: id}
+	if err := decodeResponse(op, resp, payload); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// readReadResponse decodes a Read response: the metadata prefix parses
+// in place from the buffered window, and only the body lands in a
+// fresh allocation (or the claimed caller buffer) — the one buffer the
+// caller keeps.
+func readReadResponse(br *bufio.Reader, claim func(id uint64, n int) []byte, flags uint16, id uint64, plen int) (*Response, error) {
+	if flags&flagSig == 0 {
+		return nil, errors.New("server: bad v2 read response: no signature flag")
+	}
+	if plen < readMetaSize {
+		return nil, errors.New("server: bad v2 read response: short metadata")
+	}
+	meta, err := br.Peek(readMetaSize)
+	if len(meta) < readMetaSize {
+		if err == nil {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	resp := &Response{
+		ID:              id,
+		Cacheability:    int(meta[0]),
+		CostNanos:       int64(binary.BigEndian.Uint64(meta[1:9])),
+		ExpiryUnixNanos: int64(binary.BigEndian.Uint64(meta[9:17])),
+	}
+	copy(resp.signature[:], meta[17:readMetaSize])
+	crc := crc32.Update(0, castagnoli, meta)
+	_, _ = br.Discard(readMetaSize)
+	var body []byte
+	if claim != nil {
+		body = claim(id, plen-readMetaSize)
+	}
+	if body == nil {
+		body = make([]byte, plen-readMetaSize)
+	}
+	if _, err := io.ReadFull(br, body); err != nil {
+		return nil, err
+	}
+	if err := readTrailer(br, crc32.Update(crc, castagnoli, body)); err != nil {
+		return nil, err
+	}
+	resp.Body = body
+	return resp, nil
+}
+
+// decodeResponse fills resp's fields from the payload layout of op
+// (every op but Read, whose body decodes off the socket).
+func decodeResponse(op Op, resp *Response, payload []byte) (err error) {
+	rest := payload
 	switch op {
-	case OpRead:
-		if flags&flagSig == 0 {
-			return nil, errors.New("server: bad v2 read response: no signature flag")
-		}
-		if plen < readMetaSize {
-			return nil, errors.New("server: bad v2 read response: short metadata")
-		}
-		// The metadata prefix parses in place from the buffered window;
-		// only the body lands in a fresh allocation — the one buffer
-		// the caller keeps.
-		meta, err := br.Peek(readMetaSize)
-		if len(meta) < readMetaSize {
-			if err == nil {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, err
-		}
-		resp := &Response{
-			ID:              id,
-			Cacheability:    int(meta[0]),
-			CostNanos:       int64(binary.BigEndian.Uint64(meta[1:9])),
-			ExpiryUnixNanos: int64(binary.BigEndian.Uint64(meta[9:17])),
-		}
-		copy(resp.signature[:], meta[17:readMetaSize])
-		crc := crc32.Update(0, castagnoli, meta)
-		_, _ = br.Discard(readMetaSize)
-		var body []byte
-		if claim != nil {
-			body = claim(id, plen-readMetaSize)
-		}
-		if body == nil {
-			body = make([]byte, plen-readMetaSize)
-		}
-		if _, err := io.ReadFull(br, body); err != nil {
-			return nil, err
-		}
-		if err := readTrailer(br, crc32.Update(crc, castagnoli, body)); err != nil {
-			return nil, err
-		}
-		resp.Body = body
-		return resp, nil
 	case opInvalidate:
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil, err
+		resp.ID = 0
+		if resp.NotifyDoc, rest, err = readWireString(rest); err != nil {
+			return err
 		}
-		if err := readTrailer(br, crc32.Checksum(payload, castagnoli)); err != nil {
-			return nil, err
+		if resp.NotifyUser, rest, err = readWireString(rest); err != nil {
+			return err
 		}
-		doc, rest, err := readWireString(payload)
-		if err != nil {
-			return nil, err
+	case OpStats:
+		var n int
+		if n, rest, err = readWireCount(rest, 2); err != nil {
+			return err
 		}
-		user, rest, err := readWireString(rest)
-		if err != nil {
-			return nil, err
+		if n > 0 {
+			resp.Stats = make(map[string]int64, n)
 		}
-		if len(rest) != 0 {
-			return nil, errors.New("server: bad v2 frame: trailing bytes")
+		for i := 0; i < n; i++ {
+			var name string
+			if name, rest, err = readWireString(rest); err != nil {
+				return err
+			}
+			v, sz := binary.Varint(rest)
+			if sz <= 0 {
+				return errors.New("server: bad v2 frame: truncated varint")
+			}
+			resp.Stats[name], rest = v, rest[sz:]
 		}
-		return &Response{ID: 0, NotifyDoc: doc, NotifyUser: user}, nil
-	case OpWrite, OpSubscribe:
-		if plen != 0 {
-			return nil, fmt.Errorf("server: bad v2 response: op %v with %d payload bytes", op, plen)
+	case OpListActives:
+		var n int
+		if n, rest, err = readWireCount(rest, 1); err != nil {
+			return err
 		}
-		if err := readTrailer(br, 0); err != nil {
-			return nil, err
+		if n > 0 {
+			resp.Actives = make([]string, n)
 		}
-		return &Response{ID: id}, nil
-	default:
-		return nil, fmt.Errorf("server: bad v2 response: op %v without the gob flag", op)
+		for i := range resp.Actives {
+			if resp.Actives[i], rest, err = readWireString(rest); err != nil {
+				return err
+			}
+		}
+	case OpDescribe:
+		if resp.Text, rest, err = readWireString(rest); err != nil {
+			return err
+		}
+	case OpFind:
+		var n int
+		if n, rest, err = readWireCount(rest, 3); err != nil {
+			return err
+		}
+		if n > 0 {
+			resp.Matches = make([]Match, n)
+		}
+		for i := range resp.Matches {
+			m := &resp.Matches[i]
+			if m.Doc, rest, err = readWireString(rest); err != nil {
+				return err
+			}
+			if m.Value, rest, err = readWireString(rest); err != nil {
+				return err
+			}
+			if m.Level, rest, err = readWireString(rest); err != nil {
+				return err
+			}
+		}
 	}
+	if len(rest) != 0 {
+		return fmt.Errorf("server: bad v2 response: op %v with %d trailing payload bytes", op, len(rest))
+	}
+	return nil
 }
 
 // Batching caps for the writer goroutine: one writev carries at most

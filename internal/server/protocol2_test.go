@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -49,10 +50,7 @@ func frameBytes(t testing.TB, f wireFrame) []byte {
 
 func requestOverWire(t *testing.T, req *Request) *Request {
 	t.Helper()
-	f, err := encodeRequestFrame(req)
-	if err != nil {
-		t.Fatalf("encode %v: %v", req.Op, err)
-	}
+	f := encodeRequestFrame(req)
 	out, err := readRequestFrame(bufio.NewReader(bytes.NewReader(frameBytes(t, f))))
 	if err != nil {
 		t.Fatalf("decode %v: %v", req.Op, err)
@@ -62,10 +60,7 @@ func requestOverWire(t *testing.T, req *Request) *Request {
 
 func responseOverWire(t *testing.T, op Op, resp *Response) *Response {
 	t.Helper()
-	f, err := encodeResponseFrame(op, resp)
-	if err != nil {
-		t.Fatalf("encode %v: %v", op, err)
-	}
+	f := encodeResponseFrame(op, resp)
 	out, err := readResponseFrame(bufio.NewReader(bytes.NewReader(frameBytes(t, f))))
 	if err != nil {
 		t.Fatalf("decode %v: %v", op, err)
@@ -137,14 +132,35 @@ func TestV2ResponseRoundTrip(t *testing.T) {
 		t.Errorf("push round trip = %+v", got)
 	}
 
-	// Cold op riding gob-in-frame.
-	in := &Response{ID: 12, Stats: map[string]int64{"requests": 7},
-		Actives: []string{"a", "b"}, Text: "desc",
-		Matches: []Match{{Doc: "d", Value: "v\t1", Level: "personal"}}}
-	got = responseOverWire(t, OpStats, in)
-	if got.ID != 12 || got.Stats["requests"] != 7 || len(got.Actives) != 2 ||
-		got.Text != "desc" || len(got.Matches) != 1 || got.Matches[0].Value != "v\t1" {
-		t.Errorf("gob round trip = %+v", got)
+	// Cold ops: each carries only the field its op defines. A count of
+	// zero decodes as nil, whether a nil or an empty value was sent.
+	coldCases := []struct {
+		op   Op
+		in   *Response
+		want *Response
+	}{
+		{OpStats, &Response{Stats: map[string]int64{"requests": 7, "neg": -3, "": 0}},
+			&Response{Stats: map[string]int64{"requests": 7, "neg": -3, "": 0}}},
+		{OpStats, &Response{Stats: map[string]int64{}}, &Response{}},
+		{OpStats, &Response{}, &Response{}},
+		{OpListActives, &Response{Actives: []string{"a", "", "c\td"}},
+			&Response{Actives: []string{"a", "", "c\td"}}},
+		{OpListActives, &Response{Actives: []string{}}, &Response{}},
+		{OpDescribe, &Response{Text: "doc d\n  universal: x"}, &Response{Text: "doc d\n  universal: x"}},
+		{OpDescribe, &Response{}, &Response{}},
+		{OpFind, &Response{Matches: []Match{{Doc: "d", Value: "v\t1", Level: "personal"}, {}}},
+			&Response{Matches: []Match{{Doc: "d", Value: "v\t1", Level: "personal"}, {}}}},
+		{OpFind, &Response{Matches: []Match{}}, &Response{}},
+		// Ops with an empty response drop any stray fields.
+		{OpAttach, &Response{Text: "ignored"}, &Response{}},
+		{OpCreateDocument, &Response{}, &Response{}},
+	}
+	for _, tc := range coldCases {
+		tc.in.ID, tc.want.ID = 12, 12
+		got = responseOverWire(t, tc.op, tc.in)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%v round trip = %+v, want %+v", tc.op, got, tc.want)
+		}
 	}
 }
 
@@ -156,14 +172,8 @@ func TestV2StreamedResponseBytes(t *testing.T) {
 	inline := &Response{ID: 5, Body: body, Cacheability: 1, CostNanos: 10}
 	streamed := &Response{ID: 5, Body: body, Cacheability: 1, CostNanos: 10,
 		bodyStream: bytes.NewReader(body), bodyLen: int64(len(body))}
-	fi, err := encodeResponseFrame(OpRead, inline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := encodeResponseFrame(OpRead, streamed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fi := encodeResponseFrame(OpRead, inline)
+	fs := encodeResponseFrame(OpRead, streamed)
 	if fs.bodyReader == nil {
 		t.Fatal("streamed response did not arm bodyReader")
 	}
@@ -174,10 +184,7 @@ func TestV2StreamedResponseBytes(t *testing.T) {
 
 func TestV2HeaderValidation(t *testing.T) {
 	valid := func() []byte {
-		f, err := encodeRequestFrame(&Request{ID: 1, Op: OpRead, Doc: "d", User: "u"})
-		if err != nil {
-			t.Fatal(err)
-		}
+		f := encodeRequestFrame(&Request{ID: 1, Op: OpRead, Doc: "d", User: "u"})
 		return frameBytes(t, f)
 	}
 	cases := []struct {
@@ -188,6 +195,9 @@ func TestV2HeaderValidation(t *testing.T) {
 		{"bad version", func(b []byte) []byte { b[0] = 0x03; return b }, "version byte"},
 		{"unknown op", func(b []byte) []byte { b[1] = 0x40; return b }, "unknown op"},
 		{"unknown flags", func(b []byte) []byte { b[2] = 0x80; return b }, "unknown flags"},
+		// Bit 0 once marked a reflection-encoded payload; no codec
+		// reads it any more.
+		{"retired flag bit 0", func(b []byte) []byte { b[3] |= 0x01; return b }, "unknown flags"},
 		{"oversized payload", func(b []byte) []byte {
 			binary.BigEndian.PutUint32(b[12:16], maxFramePayload+1)
 			return b
@@ -223,11 +233,7 @@ func TestV2HeaderValidation(t *testing.T) {
 
 func TestV2ResponseChecksumRejectsCorruption(t *testing.T) {
 	body := []byte("payload")
-	f, err := encodeResponseFrame(OpRead, &Response{ID: 3, Body: body, Cacheability: 1, signature: sig.Of(body)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	valid := frameBytes(t, f)
+	valid := frameBytes(t, encodeResponseFrame(OpRead, &Response{ID: 3, Body: body, Cacheability: 1, signature: sig.Of(body)}))
 	// Flip one body byte (past the metadata prefix), then one byte of
 	// the signature (the last 16 bytes of the prefix): the trailer
 	// covers both.
@@ -243,11 +249,7 @@ func TestV2ResponseChecksumRejectsCorruption(t *testing.T) {
 		}
 	}
 	// Empty-payload frames are covered too: their trailer is CRC(nil).
-	f, err = encodeResponseFrame(OpWrite, &Response{ID: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := frameBytes(t, f)
+	b := frameBytes(t, encodeResponseFrame(OpWrite, &Response{ID: 4}))
 	b[len(b)-2] ^= 0x01
 	if _, err := readResponseFrame(bufio.NewReader(bytes.NewReader(b))); err == nil ||
 		!strings.Contains(err.Error(), "checksum mismatch") {
@@ -311,10 +313,7 @@ func TestFrameWriterBatchesAndOrders(t *testing.T) {
 
 	const n = 10
 	for i := 1; i <= n; i++ {
-		f, err := encodeResponseFrame(OpWrite, &Response{ID: uint64(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
+		f := encodeResponseFrame(OpWrite, &Response{ID: uint64(i)})
 		if err := fw.enqueue(f); err != nil {
 			t.Fatal(err)
 		}
@@ -349,10 +348,7 @@ func TestFrameWriterClosedRejectsEnqueue(t *testing.T) {
 	var fails atomic.Int32
 	fw := newFrameWriter(srvEnd, 0, nil, nil, func(error) { fails.Add(1) })
 	fw.close()
-	f, err := encodeResponseFrame(OpWrite, &Response{ID: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := encodeResponseFrame(OpWrite, &Response{ID: 1})
 	if err := fw.enqueue(f); err != errWireClosed {
 		t.Fatalf("enqueue after close = %v, want errWireClosed", err)
 	}
@@ -369,10 +365,7 @@ func TestFrameWriterWriteErrorFiresOnFailOnce(t *testing.T) {
 	failc := make(chan error, 4)
 	fw := newFrameWriter(srvEnd, 100*time.Millisecond, nil, nil, func(err error) { failc <- err })
 	cliEnd.Close() // peer gone: the next write must fail
-	f, err := encodeResponseFrame(OpWrite, &Response{ID: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := encodeResponseFrame(OpWrite, &Response{ID: 1})
 	_ = fw.enqueue(f) // may race the writer's death; either outcome is fine
 	select {
 	case err := <-failc:
@@ -393,25 +386,10 @@ func TestFrameWriterWriteErrorFiresOnFailOnce(t *testing.T) {
 	}
 }
 
-// TestV1ClientFullSuiteAgainstV2Server runs every wire op through a v1
-// (gob) client against the v2-capable server — the compatibility bar
-// the handshake must clear.
-func TestV1ClientFullSuiteAgainstV2Server(t *testing.T) {
-	srv, c, space := testServer(t, WithProtocolVersion(ProtoV1))
-	if got := c.ProtocolVersion(); got != 1 {
-		t.Fatalf("ProtocolVersion = %d, want 1", got)
-	}
-	exerciseAllOps(t, srv, c, space)
-}
-
-// TestV2ClientFullSuite runs the same sweep over the negotiated v2
-// framing, so both protocols prove behavioral equivalence against the
-// same server code.
+// TestV2ClientFullSuite runs every wire op through a client against a
+// live server.
 func TestV2ClientFullSuite(t *testing.T) {
 	srv, c, space := testServer(t)
-	if got := c.ProtocolVersion(); got != 2 {
-		t.Fatalf("ProtocolVersion = %d, want 2 (negotiation failed?)", got)
-	}
 	exerciseAllOps(t, srv, c, space)
 }
 
@@ -487,7 +465,7 @@ func exerciseAllOps(t *testing.T, srv *Server, c *Client, space *docspace.Space)
 	case <-time.After(5 * time.Second):
 		t.Fatal("invalidation push never arrived")
 	}
-	// Errors cross both framings as strings.
+	// Errors cross the wire as strings.
 	if _, _, err := c.Read("ghost", "eyal"); err == nil ||
 		!strings.Contains(err.Error(), "no such document") {
 		t.Fatalf("error propagation: %v", err)
@@ -495,68 +473,6 @@ func exerciseAllOps(t *testing.T, srv *Server, c *Client, space *docspace.Space)
 	sent, recv := srv.WireBytes()
 	if sent <= 0 || recv <= 0 {
 		t.Fatalf("WireBytes = %d, %d; want both positive", sent, recv)
-	}
-}
-
-// legacyServer starts a server pinned to the v1 protocol (emulating a
-// pre-v2 binary) and returns its address.
-func legacyServer(t *testing.T) string {
-	t.Helper()
-	clk := clock.NewVirtual(epoch)
-	backing := repo.NewMem("srv", clk, simnet.NewPath("loop", 1))
-	space := docspace.New(clk, repo.NewDMS("dms", clk, simnet.NewPath("loop", 2)))
-	srv := New(space, backing)
-	srv.SetLegacyProtocolOnly(true)
-	done := make(chan error, 1)
-	go func() { done <- srv.ListenAndServe("127.0.0.1:0") }()
-	var addr string
-	for i := 0; i < 200; i++ {
-		if a := srv.Addr(); a != nil {
-			addr = a.String()
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if addr == "" {
-		t.Fatal("server did not start")
-	}
-	t.Cleanup(func() {
-		srv.Close()
-		if err := <-done; err != nil {
-			t.Errorf("Serve returned %v", err)
-		}
-	})
-	return addr
-}
-
-// TestHandshakeDowngradeAgainstLegacyServer: an auto-negotiating client
-// dialing a v1-only server must land on v1 and work, transparently.
-func TestHandshakeDowngradeAgainstLegacyServer(t *testing.T) {
-	addr := legacyServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if got := c.ProtocolVersion(); got != 1 {
-		t.Fatalf("ProtocolVersion = %d, want 1 after downgrade", got)
-	}
-	if err := c.CreateDocument("d", "u", []byte("legacy ok")); err != nil {
-		t.Fatal(err)
-	}
-	if data, _, err := c.Read("d", "u"); err != nil || string(data) != "legacy ok" {
-		t.Fatalf("read = %q, %v", data, err)
-	}
-}
-
-// TestPinnedV2AgainstLegacyServerFails: pinning ProtoV2 refuses the
-// downgrade instead of silently speaking gob.
-func TestPinnedV2AgainstLegacyServerFails(t *testing.T) {
-	addr := legacyServer(t)
-	c, err := Dial(addr, WithProtocolVersion(ProtoV2))
-	if err == nil {
-		c.Close()
-		t.Fatal("Dial succeeded against a v1-only server with ProtoV2 pinned")
 	}
 }
 
@@ -601,10 +517,6 @@ func TestZeroCopyStreamedRead(t *testing.T) {
 		cache.Close()
 		st.Close()
 	})
-	if got := c.ProtocolVersion(); got != 2 {
-		t.Fatalf("ProtocolVersion = %d, want 2", got)
-	}
-
 	body := bytes.Repeat([]byte("zero-copy segment bytes "), 4096) // ~96 KiB
 	if err := c.CreateDocument("big", "eyal", body); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"errors"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -17,9 +18,21 @@ import (
 var epoch = time.Date(1999, time.March, 28, 0, 0, 0, 0, time.UTC)
 
 // testServer starts a server on a loopback listener and returns a
-// connected client. Dial options (e.g. WithProtocolVersion) apply to
-// the returned client.
+// connected client. Dial options apply to the returned client.
 func testServer(t *testing.T, opts ...DialOption) (*Server, *Client, *docspace.Space) {
+	t.Helper()
+	srv, addr, space := listeningServer(t)
+	client, err := Dial(addr, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Close() })
+	return srv, client, space
+}
+
+// listeningServer starts a server on a loopback listener and returns
+// it with its address and space.
+func listeningServer(t *testing.T) (*Server, string, *docspace.Space) {
 	t.Helper()
 	clk := clock.NewVirtual(epoch)
 	backing := repo.NewMem("srv", clk, simnet.NewPath("loop", 1))
@@ -39,18 +52,77 @@ func testServer(t *testing.T, opts ...DialOption) (*Server, *Client, *docspace.S
 	if addr == "" {
 		t.Fatal("server did not start")
 	}
-	client, err := Dial(addr, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
 	t.Cleanup(func() {
-		client.Close()
 		srv.Close()
 		if err := <-done; err != nil {
 			t.Errorf("Serve returned %v", err)
 		}
 	})
-	return srv, client, space
+	return srv, addr, space
+}
+
+// waitConnections polls until srv counts want open connections.
+func waitConnections(t *testing.T, srv *Server, want int64, within time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(within)
+	for {
+		_, _, conns := srv.Counters()
+		if conns == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("connections = %d after %v, want %d", conns, within, want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestHandshakeRejectsNonMagicPeer: a peer whose first bytes are not
+// the magic preamble is disconnected at once, without waiting out the
+// handshake deadline, and leaves no connection behind.
+func TestHandshakeRejectsNonMagicPeer(t *testing.T) {
+	t.Parallel()
+	srv, addr, _ := listeningServer(t)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET / HTTP/1.0\r\n\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(handshakeTimeout / 2))
+	n, err := conn.Read(make([]byte, 16))
+	if err == nil {
+		t.Fatalf("server answered a non-magic peer with %d bytes", n)
+	}
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("non-magic peer still connected; the server waited for more bytes")
+	}
+	waitConnections(t, srv, 0, handshakeTimeout/2)
+}
+
+// TestHandshakeTimesOutSilentPeer: a peer that connects and sends
+// nothing is disconnected once the handshake deadline passes, instead
+// of holding a goroutine and a descriptor until Close.
+func TestHandshakeTimesOutSilentPeer(t *testing.T) {
+	t.Parallel()
+	srv, addr, _ := listeningServer(t)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	waitConnections(t, srv, 1, 5*time.Second)
+	_ = conn.SetReadDeadline(time.Now().Add(handshakeTimeout + 5*time.Second))
+	n, err := conn.Read(make([]byte, 16))
+	if err == nil {
+		t.Fatalf("server answered a silent peer with %d bytes", n)
+	}
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("silent peer still connected %v past the handshake deadline", 5*time.Second)
+	}
+	waitConnections(t, srv, 0, 5*time.Second)
 }
 
 func TestCreateReadWriteRoundTrip(t *testing.T) {
@@ -362,50 +434,47 @@ func TestServeAfterCloseRejected(t *testing.T) {
 }
 
 // TestReadInto covers the caller-supplied-buffer read path: body
-// decoded in place on v2 (returned slice aliases the buffer), graceful
-// fallback to a fresh allocation when the buffer is too small, and
-// plain correctness on v1 where gob owns its allocations.
+// decoded in place (returned slice aliases the buffer), and graceful
+// fallback to a fresh allocation when the buffer is too small.
 func TestReadInto(t *testing.T) {
 	body := make([]byte, 24<<10)
 	for i := range body {
 		body[i] = byte(i * 31)
 	}
-	for _, proto := range []int{ProtoV1, ProtoV2} {
-		_, c, _ := testServer(t, WithProtocolVersion(proto))
-		if err := c.CreateDocument("blob", "u", body); err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, len(body))
-		got, _, err := c.ReadInto("blob", "u", buf)
-		if err != nil {
-			t.Fatalf("proto %d: %v", proto, err)
-		}
-		if !bytes.Equal(got, body) {
-			t.Fatalf("proto %d: body mismatch (%d bytes)", proto, len(got))
-		}
-		if proto == ProtoV2 && &got[0] != &buf[0] {
-			t.Fatalf("proto %d: ReadInto did not decode into the caller's buffer", proto)
-		}
-		// A too-small buffer must not be used (and must not corrupt the
-		// result); the body arrives in a fresh allocation instead.
-		small := make([]byte, 16)
-		got, _, err = c.ReadInto("blob", "u", small)
-		if err != nil || !bytes.Equal(got, body) {
-			t.Fatalf("proto %d small buf: %d bytes, %v", proto, len(got), err)
-		}
-		if len(small) >= 1 && len(got) >= 1 && &got[0] == &small[0] {
-			t.Fatalf("proto %d: body aliased an undersized buffer", proto)
-		}
-		// nil buffer behaves exactly like Read.
-		got, _, err = c.ReadInto("blob", "u", nil)
-		if err != nil || !bytes.Equal(got, body) {
-			t.Fatalf("proto %d nil buf: %d bytes, %v", proto, len(got), err)
-		}
+	_, c, _ := testServer(t)
+	if err := c.CreateDocument("blob", "u", body); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, len(body))
+	got, _, err := c.ReadInto("blob", "u", buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, body) {
+		t.Fatalf("body mismatch (%d bytes)", len(got))
+	}
+	if &got[0] != &buf[0] {
+		t.Fatal("ReadInto did not decode into the caller's buffer")
+	}
+	// A too-small buffer must not be used (and must not corrupt the
+	// result); the body arrives in a fresh allocation instead.
+	small := make([]byte, 16)
+	got, _, err = c.ReadInto("blob", "u", small)
+	if err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("small buf: %d bytes, %v", len(got), err)
+	}
+	if len(small) >= 1 && len(got) >= 1 && &got[0] == &small[0] {
+		t.Fatal("body aliased an undersized buffer")
+	}
+	// nil buffer behaves exactly like Read.
+	got, _, err = c.ReadInto("blob", "u", nil)
+	if err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("nil buf: %d bytes, %v", len(got), err)
 	}
 }
 
 // TestReadIntoConcurrent hammers ReadInto from many goroutines with
-// per-goroutine buffers over one pipelined v2 connection — the E15
+// per-goroutine buffers over one pipelined connection — the E15
 // workload shape — so the claim/deliver handoff runs under the race
 // detector.
 func TestReadIntoConcurrent(t *testing.T) {
@@ -413,7 +482,7 @@ func TestReadIntoConcurrent(t *testing.T) {
 	for i := range body {
 		body[i] = byte(i ^ (i >> 7))
 	}
-	_, c, _ := testServer(t, WithProtocolVersion(ProtoV2))
+	_, c, _ := testServer(t)
 	if err := c.CreateDocument("blob", "u", body); err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +519,7 @@ func TestReadIntoConcurrent(t *testing.T) {
 // race the decoder on their buffers (the claimed-call teardown path).
 func TestReadIntoCloseDuringFlight(t *testing.T) {
 	body := make([]byte, 64<<10)
-	_, c, _ := testServer(t, WithProtocolVersion(ProtoV2))
+	_, c, _ := testServer(t)
 	if err := c.CreateDocument("blob", "u", body); err != nil {
 		t.Fatal(err)
 	}

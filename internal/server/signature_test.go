@@ -63,7 +63,7 @@ func (w *sigWorld) serve(t *testing.T, srv *Server) *Client {
 	if addr == "" {
 		t.Fatal("server did not start")
 	}
-	c, err := Dial(addr, WithProtocolVersion(ProtoV2))
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 // are perturbed — dropped, delayed on the virtual clock, reordered,
 // or black-holed during a partition — by a deterministic, seeded
 // schedule. The simulation harness (internal/sim) uses it to drive
-// the real gob protocol through adversarial interleavings without
+// the real wire protocol through adversarial interleavings without
 // touching the kernel's TCP stack or real time.
 //
 // Fault semantics are chosen to match what a reliable byte stream can
@@ -50,9 +50,10 @@ func NewPathWithRand(name string, rng *rand.Rand, links ...Link) *Path {
 	return &Path{name: name, links: links, rng: rng}
 }
 
-// poison is what a dropped message turns into: bytes no gob stream can
-// contain (an absurd uvarint length prefix), so the receiving decoder
-// errors and the endpoint runs its connection-failure path.
+// poison is what a dropped message turns into: bytes the frame decoder
+// rejects wherever they land (a bad version byte or oversized length
+// in a header, a checksum mismatch inside a payload), so the receiving
+// endpoint runs its connection-failure path.
 var poison = []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
 
 // NetStats counts fault decisions, for test assertions and run summaries.
@@ -319,7 +320,7 @@ func (l *netListener) Addr() net.Addr { return simAddr(l.name) }
 
 // Conn is one endpoint of an in-process connection. Each Write is one
 // message through the fault scheduler; Read drains delivered bytes as
-// a stream, so framing above it (gob) behaves exactly as over TCP.
+// a stream, so framing above it behaves exactly as over TCP.
 type Conn struct {
 	n    *Net
 	addr simAddr
@@ -506,8 +507,8 @@ func (c *Conn) SetWriteDeadline(t time.Time) error { return nil }
 func (c *Conn) String() string { return fmt.Sprintf("simconn(%s)", c.addr) }
 
 // timeoutError satisfies net.Error with Timeout() == true, which is
-// what deadline-aware callers (the gob frame reader's idle timeout)
-// check for.
+// what deadline-aware callers (the client's read-idle timeout) check
+// for.
 type timeoutError struct{}
 
 func (timeoutError) Error() string   { return "simnet: i/o timeout" }
