@@ -219,7 +219,32 @@ func main() {
 		})
 	}
 
-	mux.HandleFunc("/doc/", func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle("/doc/", docHandler(dc))
+
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt)
+	go func() {
+		<-sigc
+		fmt.Fprintln(os.Stderr, "plcached: shutting down")
+		for _, c := range closers {
+			c()
+		}
+		os.Exit(0)
+	}()
+
+	fmt.Println(banner)
+	if err := http.ListenAndServe(*addr, mux); err != nil {
+		log.Fatalf("plcached: http: %v", err)
+	}
+}
+
+// maxBodyBytes bounds a PUT body, the same limit the httpgw data plane
+// applies: a larger body is refused with 413 instead of buffered.
+const maxBodyBytes = 16 << 20
+
+// docHandler serves GET and PUT on /doc/<id>?user=U from dc.
+func docHandler(dc docCache) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
 		id := strings.TrimPrefix(r.URL.Path, "/doc/")
 		user := r.URL.Query().Get("user")
 		if id == "" {
@@ -236,9 +261,14 @@ func main() {
 			w.Header().Set("Content-Type", "application/octet-stream")
 			_, _ = w.Write(data)
 		case http.MethodPut, http.MethodPost:
-			body, err := io.ReadAll(r.Body)
+			body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
+				status := http.StatusBadRequest
+				var tooLarge *http.MaxBytesError
+				if errors.As(err, &tooLarge) {
+					status = http.StatusRequestEntityTooLarge
+				}
+				http.Error(w, err.Error(), status)
 				return
 			}
 			if err := dc.Write(id, user, body); err != nil {
@@ -249,22 +279,6 @@ func main() {
 		default:
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		}
-	})
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt)
-	go func() {
-		<-sigc
-		fmt.Fprintln(os.Stderr, "plcached: shutting down")
-		for _, c := range closers {
-			c()
-		}
-		os.Exit(0)
-	}()
-
-	fmt.Println(banner)
-	if err := http.ListenAndServe(*addr, mux); err != nil {
-		log.Fatalf("plcached: http: %v", err)
 	}
 }
 

@@ -153,11 +153,6 @@ type Options struct {
 	// bytes; this is the in-memory analogue of DurableMinCost. Zero
 	// (the default) stores every memoizable cut.
 	PrefixMinCostPerKB time.Duration
-	// SingleCutMemo restricts memoization to the single universal/
-	// personal boundary cut of the original two-segment split instead
-	// of the N-cut prefix pipeline — the ablation baseline for
-	// experiment E17.
-	SingleCutMemo bool
 }
 
 // CostSource selects the replacement-cost signal handed to the policy.
@@ -623,7 +618,6 @@ func (c *Cache) ReadSharedHit(doc, user string) ([]byte, EntryInfo, bool) {
 		return nil, EntryInfo{}, false
 	}
 	k := key(doc, owner)
-	sh := c.idx.shardFor(k)
 
 	var tr *obs.ReadTrace
 	var t0 time.Time
@@ -632,20 +626,67 @@ func (c *Cache) ReadSharedHit(doc, user string) ([]byte, EntryInfo, bool) {
 		tr = &obs.ReadTrace{Doc: doc, User: user, Verdict: obs.VerdictHit}
 		t0 = time.Now()
 	}
+	h, outcome := c.lookupHit(c.idx.shardFor(k), k, doc, owner, tr)
+	if outcome != hitServed {
+		return nil, EntryInfo{}, false
+	}
+	if tr != nil {
+		tr.Total = time.Since(t0)
+		tr.Time = time.Now()
+		o.ObserveRead(*tr)
+	}
+	return h.data, h.info, true
+}
+
+// hitOutcome is what lookupHit found under a key.
+type hitOutcome int
+
+const (
+	hitAbsent   hitOutcome = iota // no entry, or its blob is gone
+	hitRejected                   // a verifier reported the entry invalid
+	hitRaced                      // the entry was replaced while verifying
+	hitServed                     // verified and still installed
+)
+
+// hit is lookupHit's view of an entry. data aliases the blob store and
+// must not be modified; info is set only for a served hit.
+type hit struct {
+	e    *entry
+	data []byte
+	info EntryInfo
+}
+
+// lookupHit is the hit half of both read entry points: the shard
+// lookup, the HitCost charge, the verifier loop and the
+// still-installed recheck. A served hit is counted, touched in the
+// policy and, for a CacheWithEvents entry, has its read event
+// forwarded. lookupHit never copies, counts a rejection or drops an
+// entry: those belong to the caller. tr, when non-nil, receives the
+// lookup and verify spans.
+func (c *Cache) lookupHit(sh *shard, k, doc, owner string, tr *obs.ReadTrace) (hit, hitOutcome) {
+	var tLookup time.Time
+	if tr != nil {
+		tLookup = time.Now()
+	}
 	sh.mu.Lock()
 	e := sh.entries[k]
 	var data []byte
-	var bodyCRC uint32
-	var crcOK bool
+	var crc uint32
+	var present bool
 	if e != nil {
-		data, bodyCRC, crcOK = c.blobDataCRC(e.signature)
+		data, crc, present = c.blobDataCRC(e.signature)
 	}
 	sh.mu.Unlock()
 	if tr != nil {
-		tr.Lookup = time.Since(t0)
+		tr.Lookup = time.Since(tLookup)
 	}
-	if e == nil || data == nil {
-		return nil, EntryInfo{}, false
+	if !present {
+		return hit{}, hitAbsent
+	}
+	h := hit{e: e, data: data}
+
+	if c.opts.HitCost > 0 {
+		c.clk.Sleep(c.opts.HitCost)
 	}
 	if !c.opts.DisableVerifiers {
 		var tVerify time.Time
@@ -653,20 +694,26 @@ func (c *Cache) ReadSharedHit(doc, user string) ([]byte, EntryInfo, bool) {
 			tVerify = time.Now()
 		}
 		now := c.clk.Now()
+		valid := true
 		for _, v := range e.verifiers {
 			if ok, err := v.Check(now); err != nil || !ok {
-				return nil, EntryInfo{}, false
+				valid = false
+				break
 			}
 		}
 		if tr != nil {
 			tr.Verify = time.Since(tVerify)
 		}
+		if !valid {
+			return h, hitRejected
+		}
 	}
+
 	sh.mu.Lock()
 	// The entry may have been invalidated while verifying.
-	if cur := sh.entries[k]; cur != e {
+	if sh.entries[k] != e {
 		sh.mu.Unlock()
-		return nil, EntryInfo{}, false
+		return h, hitRaced
 	}
 	c.stats.hits.Inc()
 	c.policyMu.Lock()
@@ -676,12 +723,8 @@ func (c *Cache) ReadSharedHit(doc, user string) ([]byte, EntryInfo, bool) {
 	if e.cacheability == property.CacheWithEvents {
 		c.forward(doc, owner, event.GetInputStream)
 	}
-	if tr != nil {
-		tr.Total = time.Since(t0)
-		tr.Time = time.Now()
-		o.ObserveRead(*tr)
-	}
-	return data, EntryInfo{Cacheability: e.cacheability, Cost: e.cost, Expiry: minExpiry(e.verifiers), Hit: true, Signature: e.signature, BodyCRC32C: bodyCRC, BodyCRCOK: crcOK}, true
+	h.info = EntryInfo{Cacheability: e.cacheability, Cost: e.cost, Expiry: minExpiry(e.verifiers), Hit: true, Signature: e.signature, BodyCRC32C: crc, BodyCRCOK: true}
+	return h, hitServed
 }
 
 // readWithInfo is the read path proper. tr is the per-read trace
@@ -701,78 +744,26 @@ func (c *Cache) readWithInfo(doc, user string, tr *obs.ReadTrace) ([]byte, Entry
 		return nil, EntryInfo{}, ErrClosed
 	}
 	k := key(doc, user)
-
-	var tLookup time.Time
-	if tr != nil {
-		tLookup = time.Now()
-	}
 	sh := c.idx.shardFor(k)
-
-	sh.mu.Lock()
-	e := sh.entries[k]
-	var data []byte
-	if e != nil {
-		data = c.blobData(e.signature)
-	}
-	sh.mu.Unlock()
-	if tr != nil {
-		tr.Lookup = time.Since(tLookup)
-	}
-
-	if e != nil && data != nil {
-		if c.opts.HitCost > 0 {
-			c.clk.Sleep(c.opts.HitCost)
+	h, outcome := c.lookupHit(sh, k, doc, user, tr)
+	switch outcome {
+	case hitServed:
+		out := make([]byte, len(h.data))
+		copy(out, h.data)
+		return out, h.info, nil
+	case hitRejected:
+		sh.mu.Lock()
+		c.stats.verifierRejects.Inc()
+		// Drop only if the rejected entry is still installed; a
+		// concurrent reinstall must not lose its fresh entry.
+		if sh.entries[k] == h.e {
+			c.dropShardLocked(sh, k)
 		}
-		valid := true
-		if !c.opts.DisableVerifiers {
-			var tVerify time.Time
-			if tr != nil {
-				tVerify = time.Now()
-			}
-			now := c.clk.Now()
-			for _, v := range e.verifiers {
-				ok, err := v.Check(now)
-				if err != nil || !ok {
-					valid = false
-					break
-				}
-			}
-			if tr != nil {
-				tr.Verify = time.Since(tVerify)
-			}
-		}
-		if valid {
-			sh.mu.Lock()
-			// The entry may have been invalidated while verifying.
-			if cur := sh.entries[k]; cur == e {
-				c.stats.hits.Inc()
-				c.policyMu.Lock()
-				c.policy.Access(k)
-				c.policyMu.Unlock()
-				sh.mu.Unlock()
-				if e.cacheability == property.CacheWithEvents {
-					c.forward(doc, user, event.GetInputStream)
-				}
-				out := make([]byte, len(data))
-				copy(out, data)
-				return out, EntryInfo{Cacheability: e.cacheability, Cost: e.cost, Expiry: minExpiry(e.verifiers), Hit: true, Signature: e.signature}, nil
-			}
-			sh.mu.Unlock()
-		} else {
-			sh.mu.Lock()
-			c.stats.verifierRejects.Inc()
-			// Drop only if the rejected entry is still installed; a
-			// concurrent reinstall must not lose its fresh entry.
-			if cur := sh.entries[k]; cur == e {
-				c.dropShardLocked(sh, k)
-			}
-			sh.mu.Unlock()
-			// The pull-side of paper cause 4: the entry died because a
-			// verifier caught a change notifiers could not see.
-			c.recordCause(doc, obs.CauseVerifier)
-		}
+		sh.mu.Unlock()
+		// The pull-side of paper cause 4: the entry died because a
+		// verifier caught a change notifiers could not see.
+		c.recordCause(doc, obs.CauseVerifier)
 	}
-
 	return c.coalescedMiss(sh, k, doc, user, true, tr)
 }
 
@@ -852,17 +843,13 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (data []byte, info Ent
 	if tr != nil {
 		tChain = time.Now()
 	}
+	var memo docspace.Intermediates
 	if c.opts.Memoize {
-		var memo docspace.Intermediates = c
-		if c.opts.SingleCutMemo {
-			memo = singleCutView{c}
-		}
-		data, res, trace, err = c.space.ReadDocumentStaged(doc, user, memo)
-		if trace.MemoErr {
-			c.stats.prefixFallbackErrors.Inc()
-		}
-	} else {
-		data, res, err = c.space.ReadDocument(doc, user)
+		memo = c
+	}
+	data, res, trace, err = c.space.ReadDocumentStaged(doc, user, memo)
+	if trace.MemoErr {
+		c.stats.prefixFallbackErrors.Inc()
 	}
 	if tr != nil {
 		if trace.BitFetchDur > 0 {

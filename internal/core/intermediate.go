@@ -80,38 +80,9 @@ type iflight struct {
 	err  error
 }
 
-var (
-	_ docspace.Intermediates       = (*Cache)(nil)
-	_ docspace.PrefixIntermediates = (*Cache)(nil)
-)
+var _ docspace.Intermediates = (*Cache)(nil)
 
-// singleCutView exposes only the legacy single-cut Intermediates
-// protocol of a cache, hiding its PrefixIntermediates methods so the
-// document space offers exactly one cut point (the universal/personal
-// boundary). It is the ablation baseline for Options.SingleCutMemo.
-type singleCutView struct{ c *Cache }
-
-func (v singleCutView) Intermediate(doc string, src, fp sig.Signature, cost time.Duration, compute func() ([]byte, error)) ([]byte, bool, error) {
-	return v.c.Intermediate(doc, src, fp, cost, compute)
-}
-
-// Intermediate implements docspace.Intermediates: the legacy
-// single-cut protocol, keyed at the universal/personal boundary.
-func (c *Cache) Intermediate(doc string, src, fp sig.Signature, cost time.Duration, compute func() ([]byte, error)) ([]byte, bool, error) {
-	return c.intermediate(doc, "", src, fp, cost, true, false, compute)
-}
-
-// PrefixIntermediate implements docspace.PrefixIntermediates for one
-// cut of the prefix pipeline.
-func (c *Cache) PrefixIntermediate(doc, user string, src sig.Signature, cut docspace.Cut, compute func() ([]byte, error)) ([]byte, bool, error) {
-	owner := ""
-	if cut.Personal {
-		owner = user
-	}
-	return c.intermediate(doc, owner, src, cut.FP, cut.Cost, cut.Universal, true, compute)
-}
-
-// LongestPrefix implements docspace.PrefixIntermediates: it scans fps
+// LongestPrefix implements docspace.Intermediates: it scans fps
 // deepest-first and returns the first resident (src, fp) output. The
 // probe is memory-only — the durable tier is consulted per cut by
 // PrefixIntermediate, which also handles in-flight coalescing.
@@ -146,15 +117,21 @@ func (c *Cache) LongestPrefix(doc string, src sig.Signature, fps []sig.Signature
 	return nil, -1, false
 }
 
-// intermediate returns the memoized output for (src, fp), or computes
-// it via compute — exactly once per key under concurrent misses. cost
-// is the accumulated simulated recompute cost through the cut, the
-// policy's cost input. universal marks the cut that completes the
-// universal chain (the accounting boundary for UniversalStageRuns);
-// prefix marks calls from the N-cut pipeline (the legacy single-cut
-// entry point leaves it false). The returned slice is the caller's to
-// keep; hit reports whether compute was skipped.
-func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.Duration, universal, prefix bool, compute func() ([]byte, error)) ([]byte, bool, error) {
+// PrefixIntermediate implements docspace.Intermediates for one cut of
+// the prefix pipeline: it returns the memoized output for (src,
+// cut.FP), or computes it via compute — exactly once per key under
+// concurrent misses. cut.Cost, the accumulated simulated recompute cost
+// through the cut, is the policy's cost input; cut.Universal marks the
+// accounting boundary for UniversalStageRuns; a personal cut is
+// recorded under user so a per-user invalidation can sweep it. The
+// returned slice is the caller's to keep; hit reports whether compute
+// was skipped.
+func (c *Cache) PrefixIntermediate(doc, user string, src sig.Signature, cut docspace.Cut, compute func() ([]byte, error)) ([]byte, bool, error) {
+	owner := ""
+	if cut.Personal {
+		owner = user
+	}
+	fp, cost := cut.FP, cut.Cost
 	k := interKey(src, fp)
 	for {
 		c.interMu.Lock()
@@ -173,9 +150,7 @@ func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.
 			c.interMu.Unlock()
 			c.stats.intermediateHits.Inc()
 			c.stats.bytesRecomputedSaved.Add(int64(len(data)))
-			if prefix {
-				c.stats.prefixSavedBytes.Add(int64(len(data)))
-			}
+			c.stats.prefixSavedBytes.Add(int64(len(data)))
 			out := make([]byte, len(data))
 			copy(out, data)
 			return out, true, nil
@@ -191,9 +166,7 @@ func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.
 			}
 			c.stats.intermediateHits.Inc()
 			c.stats.bytesRecomputedSaved.Add(int64(len(f.data)))
-			if prefix {
-				c.stats.prefixSavedBytes.Add(int64(len(f.data)))
-			}
+			c.stats.prefixSavedBytes.Add(int64(len(f.data)))
 			out := make([]byte, len(f.data))
 			copy(out, f.data)
 			return out, true, nil
@@ -220,12 +193,10 @@ func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.
 			}
 		}
 		if !fromDisk {
-			if universal {
+			if cut.Universal {
 				c.stats.universalStageRuns.Inc()
 			}
-			if prefix {
-				c.stats.prefixSegmentRuns.Inc()
-			}
+			c.stats.prefixSegmentRuns.Inc()
 			data, err = compute()
 		}
 		f.data, f.err = data, err
@@ -233,10 +204,8 @@ func (c *Cache) intermediate(doc, user string, src, fp sig.Signature, cost time.
 		delete(c.interFlights, k)
 		if err == nil && !c.closed.Load() {
 			if c.prefixWorthStoring(cost, int64(len(data))) {
-				c.storeIntermediateLocked(k, doc, user, data, cost)
-				if prefix {
-					c.stats.prefixInstalls.Inc()
-				}
+				c.storeIntermediateLocked(k, doc, owner, data, cost)
+				c.stats.prefixInstalls.Inc()
 			} else {
 				c.stats.prefixInstallSkips.Inc()
 			}

@@ -10,61 +10,7 @@ import (
 	"time"
 
 	"placeless/internal/property"
-	"placeless/internal/sig"
 )
-
-// fakePrefixMemo is a minimal PrefixIntermediates store: the multi-cut
-// analogue of fakeMemo, with optional fault injection for the
-// degraded-read tests.
-type fakePrefixMemo struct {
-	store    map[string][]byte
-	keys     []string // install order, one per computed cut
-	computes int
-	calls    int
-	failOn   int // fail the nth PrefixIntermediate call (1-based)
-}
-
-func newFakePrefixMemo() *fakePrefixMemo {
-	return &fakePrefixMemo{store: make(map[string][]byte)}
-}
-
-func memoKey(src, fp sig.Signature) string {
-	return string(src[:]) + string(fp[:])
-}
-
-var errStoreSick = errors.New("intermediate store unavailable")
-
-func (m *fakePrefixMemo) Intermediate(doc string, src, fp sig.Signature, cost time.Duration, compute func() ([]byte, error)) ([]byte, bool, error) {
-	return m.PrefixIntermediate(doc, "", src, Cut{FP: fp, Cost: cost, Universal: true}, compute)
-}
-
-func (m *fakePrefixMemo) LongestPrefix(doc string, src sig.Signature, fps []sig.Signature) ([]byte, int, bool) {
-	for i := len(fps) - 1; i >= 0; i-- {
-		if d, ok := m.store[memoKey(src, fps[i])]; ok {
-			return append([]byte{}, d...), i, true
-		}
-	}
-	return nil, -1, false
-}
-
-func (m *fakePrefixMemo) PrefixIntermediate(doc, user string, src sig.Signature, cut Cut, compute func() ([]byte, error)) ([]byte, bool, error) {
-	m.calls++
-	if m.failOn > 0 && m.calls == m.failOn {
-		return nil, false, errStoreSick
-	}
-	k := memoKey(src, cut.FP)
-	if d, ok := m.store[k]; ok {
-		return append([]byte{}, d...), true, nil
-	}
-	d, err := compute()
-	if err != nil {
-		return nil, false, err
-	}
-	m.computes++
-	m.store[k] = append([]byte{}, d...)
-	m.keys = append(m.keys, k)
-	return d, false, nil
-}
 
 // decodeChainFrames inverts appendChainFrame: an exact decoder existing
 // at all is what proves the encoding injective.
@@ -236,7 +182,7 @@ func TestPrefixStagedMatchesPlainEverySubset(t *testing.T) {
 	}
 
 	// One warm pass to learn every cut's key and bytes.
-	warm := newFakePrefixMemo()
+	warm := newFakeMemo()
 	for _, u := range users {
 		staged, _, trace, err := f.space.ReadDocumentStaged("d", u, warm)
 		if err != nil {
@@ -255,7 +201,7 @@ func TestPrefixStagedMatchesPlainEverySubset(t *testing.T) {
 
 	// Every subset of the cuts, pre-seeded into a fresh store.
 	for mask := 0; mask < 1<<len(warm.keys); mask++ {
-		m := newFakePrefixMemo()
+		m := newFakeMemo()
 		for i, k := range warm.keys {
 			if mask&(1<<i) != 0 {
 				m.store[k] = append([]byte{}, warm.store[k]...)
@@ -296,7 +242,7 @@ func TestPrefixSharesPersonalPrefix(t *testing.T) {
 		}
 	}
 
-	m := newFakePrefixMemo()
+	m := newFakeMemo()
 	if _, _, trace, err := f.space.ReadDocumentStaged("d", "eyal", m); err != nil || trace.DeepestHit != -1 {
 		t.Fatalf("cold read: trace=%+v err=%v", trace, err)
 	}
@@ -331,13 +277,13 @@ func TestStoreErrorFallsBackToDirectExecution(t *testing.T) {
 	}
 
 	// Probe how many cuts eyal's read offers.
-	probe := newFakePrefixMemo()
+	probe := newFakeMemo()
 	if _, _, tr, err := f.space.ReadDocumentStaged("d", "eyal", probe); err != nil || tr.Cuts == 0 {
 		t.Fatalf("probe: trace=%+v err=%v", tr, err)
 	}
 
-	for fail := 1; fail <= probe.calls; fail++ {
-		m := newFakePrefixMemo()
+	for fail := 1; fail <= len(probe.cuts); fail++ {
+		m := newFakeMemo()
 		m.failOn = fail
 		staged, _, trace, err := f.space.ReadDocumentStaged("d", "eyal", m)
 		if err != nil {
@@ -356,35 +302,15 @@ func TestStoreErrorFallsBackToDirectExecution(t *testing.T) {
 			t.Fatalf("failOn=%d: degraded read diverged:\nplain:  %q\nstaged: %q", fail, plain, staged)
 		}
 	}
-
-	// Same degradation through the legacy single-cut protocol.
-	legacy := &failingMemo{}
-	staged, _, trace, err := f.space.ReadDocumentStaged("d", "eyal", legacy)
-	if err != nil {
-		t.Fatalf("legacy store failure not degraded: %v", err)
-	}
-	if !trace.MemoErr || !trace.Attempted || trace.Hit {
-		t.Fatalf("legacy degraded trace = %+v", trace)
-	}
-	if !bytes.Equal(staged, plain) {
-		t.Fatal("legacy degraded read diverged")
-	}
-}
-
-// failingMemo is an Intermediates store whose every call fails.
-type failingMemo struct{}
-
-func (failingMemo) Intermediate(doc string, src, fp sig.Signature, cost time.Duration, compute func() ([]byte, error)) ([]byte, bool, error) {
-	return nil, false, errStoreSick
 }
 
 // TestBoundaryCutMatchesUniversalFingerprint: the boundary cut's prefix
 // fingerprint must be bit-identical to the cached universal-chain
-// fingerprint — the compatibility bridge that keeps single-cut stores
-// and the durable tier's ContentKey on the same keys.
+// fingerprint — the bridge that keeps the boundary cut and the durable
+// tier's ContentKey on the same keys.
 func TestBoundaryCutMatchesUniversalFingerprint(t *testing.T) {
 	f := stageFixture(t)
-	m := newFakePrefixMemo()
+	m := newFakeMemo()
 	_, _, trace, err := f.space.ReadDocumentStaged("d", "eyal", m)
 	if err != nil {
 		t.Fatal(err)

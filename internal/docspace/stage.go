@@ -30,21 +30,32 @@ import (
 // (external information) is excluded by marking such properties
 // non-memoizable, which poisons every cut at or after them.
 
-// Intermediates is the cache-side store for memoized stage outputs.
-// Intermediate returns the memoized output for (src, fp) or computes
-// it via compute — exactly once per key under concurrent misses. The
-// returned slice is owned by the caller. hit reports whether compute
-// was skipped (served from the store or coalesced onto another
-// caller's computation). A store implementing only this interface is
-// offered exactly one cut point per read: the universal/personal
-// boundary.
+// Intermediates is the cache-side store for memoized read-path
+// prefixes. The read path offers it every memoizable cut point of a
+// read: it first probes LongestPrefix with the full ordered
+// cut-fingerprint list, resumes from the deepest cached prefix, and
+// then walks the remaining cuts through PrefixIntermediate, handing
+// each a compute closure for just that segment.
 type Intermediates interface {
-	Intermediate(doc string, src, fp sig.Signature, cost time.Duration, compute func() ([]byte, error)) (data []byte, hit bool, err error)
+	// LongestPrefix returns the deepest cached prefix of (src, fps):
+	// the data and index of the largest i such that (src, fps[i]) is
+	// resident, or ok=false when none is. fps is ordered shallowest to
+	// deepest. The probe is memory-only; slower tiers are consulted
+	// per cut by PrefixIntermediate.
+	LongestPrefix(doc string, src sig.Signature, fps []sig.Signature) (data []byte, idx int, ok bool)
+	// PrefixIntermediate returns the memoized output for one cut of
+	// the prefix pipeline or computes it via compute — exactly once per
+	// key under concurrent misses. The cut carries its position
+	// metadata so the store can account and cost-gate installs per cut
+	// point. The returned slice is owned by the caller. hit reports
+	// whether compute was skipped (served from the store or coalesced
+	// onto another caller's computation).
+	PrefixIntermediate(doc, user string, src sig.Signature, cut Cut, compute func() ([]byte, error)) (data []byte, hit bool, err error)
 }
 
 // Cut describes one memoizable boundary of a read's combined
-// (universal + personal) transform chain, as handed to a
-// PrefixIntermediates store.
+// (universal + personal) transform chain, as handed to an
+// Intermediates store.
 type Cut struct {
 	// FP is the incremental fingerprint of the chain prefix up to and
 	// including this boundary.
@@ -55,34 +66,13 @@ type Cut struct {
 	// deciding whether the cut is worth keeping.
 	Cost time.Duration
 	// Universal marks the cut at the end of the universal chain — the
-	// single cut point of the original two-segment split.
+	// universal/personal boundary.
 	Universal bool
 	// Personal marks cuts strictly inside the personal chain. They are
 	// keyed by content like every other cut (users with identical
 	// personal prefixes share them), but a store may choose to sweep
 	// them on per-user invalidation.
 	Personal bool
-}
-
-// PrefixIntermediates is the N-segment extension of Intermediates.
-// Stores implementing it receive every memoizable cut point of a read
-// instead of only the universal/personal boundary: the read path first
-// probes LongestPrefix with the full ordered cut-fingerprint list,
-// resumes from the deepest cached prefix, and then walks the remaining
-// cuts through PrefixIntermediate, handing each a compute closure for
-// just that segment.
-type PrefixIntermediates interface {
-	Intermediates
-	// LongestPrefix returns the deepest cached prefix of (src, fps):
-	// the data and index of the largest i such that (src, fps[i]) is
-	// resident, or ok=false when none is. fps is ordered shallowest to
-	// deepest. The probe is memory-only; slower tiers are consulted
-	// per cut by PrefixIntermediate.
-	LongestPrefix(doc string, src sig.Signature, fps []sig.Signature) (data []byte, idx int, ok bool)
-	// PrefixIntermediate is Intermediate for one cut of the prefix
-	// pipeline, carrying the cut's position metadata so the store can
-	// account and cost-gate installs per cut point.
-	PrefixIntermediate(doc, user string, src sig.Signature, cut Cut, compute func() ([]byte, error)) (data []byte, hit bool, err error)
 }
 
 // StageTrace reports what the staged read path did, for cache
@@ -107,8 +97,7 @@ type StageTrace struct {
 	SavedBytes int64
 	// Cuts is the number of memoizable cut points offered to the
 	// store; DeepestHit is the index of the cut served by the
-	// longest-prefix probe, -1 when the probe missed (always -1 for
-	// single-cut stores, which are never probed).
+	// longest-prefix probe, -1 when the probe missed.
 	Cuts       int
 	DeepestHit int
 	// MemoErr reports that the intermediate store failed mid-read and
@@ -309,17 +298,20 @@ func (sr *stagedRun) finish() ([]byte, property.ReadResult, StageTrace, error) {
 //     transforms (and their simulated Sleep costs) are skipped and the
 //     remaining suffix runs over the memoized bytes.
 //
-// A store implementing PrefixIntermediates is offered a cut at every
-// boundary whose prefix is fully memoizable; a plain Intermediates
-// store sees only the universal/personal boundary cut (the original
-// two-segment protocol). A non-memoizable byte-touching property
-// poisons every cut at or after its position; if no cut survives — or
-// memo is nil — the read falls back to ordinary single-chain execution
-// and the trace reports Attempted=false. A store error mid-walk
+// The store is offered a cut at every boundary whose prefix is fully
+// memoizable. A non-memoizable byte-touching property poisons every
+// cut at or after its position; if no cut survives the read falls back
+// to ordinary single-chain execution and the trace reports
+// Attempted=false. A nil memo is plain execution: the read is exactly
+// ReadDocument and computes no fingerprints. A store error mid-walk
 // degrades to direct execution of the remaining transforms (slow, not
 // broken) and sets trace.MemoErr.
 func (s *Space) ReadDocumentStaged(doc, user string, memo Intermediates) ([]byte, property.ReadResult, StageTrace, error) {
 	var trace StageTrace
+	if memo == nil {
+		data, res, err := s.ReadDocument(doc, user)
+		return data, res, trace, err
+	}
 
 	s.mu.Lock()
 	r, err := s.resolveRefLocked(doc, user)
@@ -346,7 +338,6 @@ func (s *Space) ReadDocumentStaged(doc, user string, memo Intermediates) ([]byte
 
 	uProps, pProps, fps := s.snapshotChains(b, r)
 	nU := len(uProps)
-	pm, multiCut := memo.(PrefixIntermediates)
 
 	// Wrap every property in chain order, recording a candidate cut at
 	// each boundary where the prefix so far is fully memoizable and
@@ -412,17 +403,6 @@ func (s *Space) ReadDocumentStaged(doc, user string, memo Intermediates) ([]byte
 			boundaryIdx = i
 		}
 	}
-	if !multiCut && memo != nil {
-		// A plain Intermediates store understands exactly one cut: the
-		// universal/personal boundary.
-		if boundaryIdx >= 0 {
-			cuts = cuts[boundaryIdx : boundaryIdx+1]
-			cutWrapEnd = cutWrapEnd[boundaryIdx : boundaryIdx+1]
-			boundaryIdx = 0
-		} else {
-			cuts, cutWrapEnd = nil, nil
-		}
-	}
 
 	// Events fire on every read, memoized or not — side-effecting
 	// properties like audit trails must observe each access.
@@ -430,7 +410,7 @@ func (s *Space) ReadDocumentStaged(doc, user string, memo Intermediates) ([]byte
 	b.node.registry.Dispatch(e)
 	r.node.registry.Dispatch(e)
 
-	if memo == nil || len(cuts) == 0 {
+	if len(cuts) == 0 {
 		data, err := stream.ReadAllAndClose(stream.ChainInput(raw, wrappers...))
 		return data, rc.Result(), trace, err
 	}
@@ -455,18 +435,16 @@ func (s *Space) ReadDocumentStaged(doc, user string, memo Intermediates) ([]byte
 	}
 
 	next := 0
-	if multiCut {
-		probe := make([]sig.Signature, len(cuts))
-		for i, c := range cuts {
-			probe[i] = c.FP
-		}
-		if data, idx, ok := pm.LongestPrefix(doc, srcSig, probe); ok {
-			sr.cur, sr.wrapAt, next = data, cutWrapEnd[idx], idx+1
-			trace.DeepestHit = idx
-			trace.SavedBytes += int64(len(data))
-			if boundaryIdx >= 0 && idx >= boundaryIdx {
-				sr.cross(true)
-			}
+	probe := make([]sig.Signature, len(cuts))
+	for i, c := range cuts {
+		probe[i] = c.FP
+	}
+	if data, idx, ok := memo.LongestPrefix(doc, srcSig, probe); ok {
+		sr.cur, sr.wrapAt, next = data, cutWrapEnd[idx], idx+1
+		trace.DeepestHit = idx
+		trace.SavedBytes += int64(len(data))
+		if boundaryIdx >= 0 && idx >= boundaryIdx {
+			sr.cross(true)
 		}
 	}
 
@@ -481,13 +459,7 @@ func (s *Space) ReadDocumentStaged(doc, user string, memo Intermediates) ([]byte
 			}
 			return d, err
 		}
-		var data []byte
-		var hit bool
-		if multiCut {
-			data, hit, err = pm.PrefixIntermediate(doc, user, srcSig, cuts[next], compute)
-		} else {
-			data, hit, err = memo.Intermediate(doc, srcSig, cuts[next].FP, cuts[next].Cost, compute)
-		}
+		data, hit, err := memo.PrefixIntermediate(doc, user, srcSig, cuts[next], compute)
 		if err != nil {
 			if computeErr != nil {
 				// The transform chain itself failed; the store merely

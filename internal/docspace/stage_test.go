@@ -2,6 +2,7 @@ package docspace
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -10,16 +11,39 @@ import (
 )
 
 // fakeMemo is a minimal Intermediates store for exercising the staged
-// read path without a cache.
+// read path without a cache, with optional fault injection for the
+// degraded-read tests.
 type fakeMemo struct {
 	store    map[string][]byte
+	keys     []string // install order, one per computed cut
+	cuts     []Cut    // every cut offered, in order
 	computes int
+	failOn   int // fail the nth PrefixIntermediate call (1-based)
 }
 
 func newFakeMemo() *fakeMemo { return &fakeMemo{store: make(map[string][]byte)} }
 
-func (m *fakeMemo) Intermediate(doc string, src, fp sig.Signature, cost time.Duration, compute func() ([]byte, error)) ([]byte, bool, error) {
-	k := string(src[:]) + string(fp[:])
+func memoKey(src, fp sig.Signature) string {
+	return string(src[:]) + string(fp[:])
+}
+
+var errStoreSick = errors.New("intermediate store unavailable")
+
+func (m *fakeMemo) LongestPrefix(doc string, src sig.Signature, fps []sig.Signature) ([]byte, int, bool) {
+	for i := len(fps) - 1; i >= 0; i-- {
+		if d, ok := m.store[memoKey(src, fps[i])]; ok {
+			return append([]byte{}, d...), i, true
+		}
+	}
+	return nil, -1, false
+}
+
+func (m *fakeMemo) PrefixIntermediate(doc, user string, src sig.Signature, cut Cut, compute func() ([]byte, error)) ([]byte, bool, error) {
+	m.cuts = append(m.cuts, cut)
+	if m.failOn > 0 && len(m.cuts) == m.failOn {
+		return nil, false, errStoreSick
+	}
+	k := memoKey(src, cut.FP)
 	if d, ok := m.store[k]; ok {
 		return append([]byte{}, d...), true, nil
 	}
@@ -29,7 +53,20 @@ func (m *fakeMemo) Intermediate(doc string, src, fp sig.Signature, cost time.Dur
 	}
 	m.computes++
 	m.store[k] = append([]byte{}, d...)
+	m.keys = append(m.keys, k)
 	return d, false, nil
+}
+
+// assertNoCutFrom fails if any cut offered to m lies at or after the
+// end of the universal chain — the cuts a non-memoizable last universal
+// property poisons.
+func assertNoCutFrom(t *testing.T, m *fakeMemo) {
+	t.Helper()
+	for i, c := range m.cuts {
+		if c.Universal || c.Personal {
+			t.Fatalf("cut %d (%+v) at or after the poisoning property reached the store", i, c)
+		}
+	}
 }
 
 // stageFixture builds a document with a memoizable universal chain
@@ -192,8 +229,11 @@ func TestStagedReadMatchesPlainRead(t *testing.T) {
 			t.Fatalf("user %s: read results diverged: %+v vs %+v", user, plainRes, stagedRes)
 		}
 	}
-	if memo.computes != 1 {
-		t.Fatalf("universal stage computed %d times for 3 reads of one (content, chain), want 1", memo.computes)
+	// One compute per distinct cut — spell, summarize (the boundary)
+	// and each user's watermark; the repeat read resumes from its
+	// deepest cut and computes nothing.
+	if memo.computes != 4 {
+		t.Fatalf("staged reads computed %d segments for 3 reads, want 4 (each cut once)", memo.computes)
 	}
 }
 
@@ -221,54 +261,84 @@ func TestStagedReadSavesUniversalTime(t *testing.T) {
 	}
 }
 
+// TestNonMemoizablePropertyDisablesStaging: a byte-touching property
+// without a memo contract disables staging from its position on. Cuts
+// before it still reach the store; none at or after it does, and the
+// property runs on every read.
 func TestNonMemoizablePropertyDisablesStaging(t *testing.T) {
 	f := stageFixture(t)
 	// A byte-touching universal property without a memo contract: a
 	// hand-built transformer (no MemoID), the cautious default.
+	runs := 0
 	opaque := &property.Transformer{
-		Base:          property.Base{PropName: "opaque"},
-		ReadTransform: bytes.ToUpper,
-		Version:       1,
+		Base: property.Base{PropName: "opaque"},
+		ReadTransform: func(b []byte) []byte {
+			runs++
+			return bytes.ToUpper(b)
+		},
+		Version: 1,
 	}
 	if err := f.space.Attach("d", "", Universal, opaque); err != nil {
 		t.Fatal(err)
 	}
 	memo := newFakeMemo()
-	plain, _, err := f.space.ReadDocument("d", "eyal")
-	if err != nil {
-		t.Fatal(err)
+	for _, user := range []string{"eyal", "paul", "eyal"} {
+		plain, _, err := f.space.ReadDocument("d", user)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := runs
+		staged, _, trace, err := f.space.ReadDocumentStaged("d", user, memo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if runs != before+1 {
+			t.Fatalf("user %s: opaque property ran %d times in a staged read, want 1", user, runs-before)
+		}
+		if trace.Hit {
+			t.Fatalf("user %s: poisoned boundary reported a memo hit: %+v", user, trace)
+		}
+		if !bytes.Equal(plain, staged) {
+			t.Fatalf("user %s: staged read diverged: %q vs %q", user, plain, staged)
+		}
 	}
-	staged, _, trace, err := f.space.ReadDocumentStaged("d", "eyal", memo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trace.Attempted || trace.Hit {
-		t.Fatalf("non-memoizable chain was staged: %+v", trace)
-	}
-	if memo.computes != 0 || len(memo.store) != 0 {
-		t.Fatal("memo store consulted for a non-memoizable chain")
-	}
-	if !bytes.Equal(plain, staged) {
-		t.Fatalf("fallback path diverged: %q vs %q", plain, staged)
+	assertNoCutFrom(t, memo)
+	// The two cuts before the poisoning property survive.
+	if len(memo.store) != 2 {
+		t.Fatalf("store holds %d cuts, want 2 (spell, summarize)", len(memo.store))
 	}
 }
 
+// TestExternalInfoDisablesStaging: paper invalidation cause 4 — a
+// property embedding external information must re-execute on every
+// read, so a changed value shows up although earlier cuts are cached.
 func TestExternalInfoDisablesStaging(t *testing.T) {
-	// Paper invalidation cause 4: a property embedding external
-	// information must force full re-execution on every read.
 	f := stageFixture(t)
 	quote := property.NewExternalVar("stock", 42)
 	if err := f.space.Attach("d", "", Universal, property.NewExternalInfo(quote, property.ByVerifier, 0)); err != nil {
 		t.Fatal(err)
 	}
 	memo := newFakeMemo()
-	_, _, trace, err := f.space.ReadDocumentStaged("d", "eyal", memo)
-	if err != nil {
-		t.Fatal(err)
+	var prev []byte
+	for _, value := range []float64{42, 43} {
+		quote.Set(value)
+		plain, _, err := f.space.ReadDocument("d", "eyal")
+		if err != nil {
+			t.Fatal(err)
+		}
+		staged, _, _, err := f.space.ReadDocumentStaged("d", "eyal", memo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(plain, staged) {
+			t.Fatalf("value %v: staged read diverged: %q vs %q", value, plain, staged)
+		}
+		if bytes.Equal(staged, prev) {
+			t.Fatalf("value %v: staged read served the previous external value", value)
+		}
+		prev = staged
 	}
-	if trace.Attempted {
-		t.Fatal("external-information chain was staged")
-	}
+	assertNoCutFrom(t, memo)
 }
 
 func TestStagedReadWithNilMemoFallsBack(t *testing.T) {

@@ -636,6 +636,34 @@ func TestClusterScalingShape(t *testing.T) {
 	}
 }
 
+// TestSingleCutAdapterBaseline: E17's boundary-only adapter must
+// reproduce the original two-segment protocol — one intermediate at
+// the universal/personal boundary, computed once, the shared translate
+// re-run for every user, and every prefix hit resuming at the boundary.
+func TestSingleCutAdapterBaseline(t *testing.T) {
+	const users = 4
+	_, sharedRuns, st, err := runPrefixMode(DefaultPrefixConfig(), users, prefixSingle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The one cut the cache computed and installed is the universal
+	// one, so it is the only cut a probe can resume from.
+	if st.IntermediateEntries != 1 || st.PrefixInstalls != 1 || st.PrefixSegmentRuns != 1 {
+		t.Fatalf("cache held %d intermediates from %d installs and %d segment runs, want 1/1/1 (boundary only)",
+			st.IntermediateEntries, st.PrefixInstalls, st.PrefixSegmentRuns)
+	}
+	if st.UniversalStageRuns != 1 {
+		t.Fatalf("UniversalStageRuns = %d, want 1", st.UniversalStageRuns)
+	}
+	if sharedRuns != users {
+		t.Fatalf("shared translate ran %d times, want %d (once per user)", sharedRuns, users)
+	}
+	if st.PrefixHits != users-1 || st.IntermediateHits != users-1 {
+		t.Fatalf("PrefixHits = %d, IntermediateHits = %d, want %d each (every follower at the boundary)",
+			st.PrefixHits, st.IntermediateHits, users-1)
+	}
+}
+
 func TestPrefixFanOut(t *testing.T) {
 	// Reduced E17: plbench runs the full sweep. The acceptance
 	// invariants are asserted at the 64-user level — the shared

@@ -9,6 +9,7 @@ import (
 	"placeless/internal/docspace"
 	"placeless/internal/property"
 	"placeless/internal/repo"
+	"placeless/internal/sig"
 	"placeless/internal/simnet"
 )
 
@@ -129,6 +130,22 @@ const (
 	prefixMulti                    // N-cut longest-prefix pipeline
 )
 
+// singleCut is E17's boundary-only baseline, the original two-segment
+// protocol, as a memo store over a cache: only the universal/personal
+// boundary cut reaches the cache; every other cut executes its segment
+// and reports no hit. LongestPrefix is the cache's own — the cache
+// then holds boundary cuts only, so the probe can resume only there.
+type singleCut struct{ *core.Cache }
+
+// PrefixIntermediate implements docspace.Intermediates.
+func (s singleCut) PrefixIntermediate(doc, user string, src sig.Signature, cut docspace.Cut, compute func() ([]byte, error)) ([]byte, bool, error) {
+	if !cut.Universal {
+		data, err := compute()
+		return data, false, err
+	}
+	return s.Cache.PrefixIntermediate(doc, user, src, cut, compute)
+}
+
 // runPrefixMode builds one world — a two-transform universal chain and
 // a personal chain of [shared translate, per-user watermark] — and
 // drives the cold miss storm: every user reads once, nothing warm. It
@@ -139,9 +156,8 @@ func runPrefixMode(cfg PrefixConfig, users int, mode prefixMode) (time.Duration,
 	src := repo.NewMem("localfs", clk, simnet.Local(cfg.Seed))
 	space := docspace.New(clk, nil)
 	cache := core.New(space, core.Options{
-		Name:          "prefix",
-		Memoize:       mode != prefixOff,
-		SingleCutMemo: mode == prefixSingle,
+		Name:    "prefix",
+		Memoize: mode != prefixOff,
 	})
 
 	const id = "shared"
@@ -190,7 +206,13 @@ func runPrefixMode(cfg PrefixConfig, users int, mode prefixMode) (time.Duration,
 	var total time.Duration
 	for i := 0; i < users; i++ {
 		start := clk.Now()
-		if _, err := cache.Read(id, memoUserID(i)); err != nil {
+		var err error
+		if mode == prefixSingle {
+			_, _, _, err = space.ReadDocumentStaged(id, memoUserID(i), singleCut{cache})
+		} else {
+			_, err = cache.Read(id, memoUserID(i))
+		}
+		if err != nil {
 			return 0, 0, core.Stats{}, err
 		}
 		total += clk.Now().Sub(start)

@@ -1,10 +1,10 @@
 // Package metrics provides the measurement plumbing for the
-// experiment harness: duration histograms and labeled counters over
-// simulated time.
+// experiment harness and the cache's counters: atomic counters,
+// exact-percentile duration histograms and stopwatches over simulated
+// time.
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -14,7 +14,7 @@ import (
 
 // Counter is a cumulative counter safe for lock-free concurrent use.
 // Hot cache paths (hit/miss/byte accounting in internal/core) use
-// Counters so bookkeeping never serializes behind a mutex. The zero
+// Counter values so bookkeeping never serializes behind a mutex. The zero
 // value is ready to use.
 type Counter struct {
 	v atomic.Int64
@@ -103,17 +103,6 @@ func (h *Histogram) Percentile(p float64) time.Duration {
 	return h.samples[rank-1]
 }
 
-// Min returns the smallest sample, or 0 with no samples.
-func (h *Histogram) Min() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	h.sortLocked()
-	return h.samples[0]
-}
-
 // Max returns the largest sample, or 0 with no samples.
 func (h *Histogram) Max() time.Duration {
 	h.mu.Lock()
@@ -123,47 +112,6 @@ func (h *Histogram) Max() time.Duration {
 	}
 	h.sortLocked()
 	return h.samples[len(h.samples)-1]
-}
-
-// Summary renders count/mean/p50/p99/max in a compact form.
-func (h *Histogram) Summary() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v",
-		h.Count(), h.Mean(), h.Percentile(50), h.Percentile(99), h.Max())
-}
-
-// Counters is a labeled counter set, safe for concurrent use.
-type Counters struct {
-	mu sync.Mutex
-	m  map[string]int64
-}
-
-// NewCounters returns an empty counter set.
-func NewCounters() *Counters { return &Counters{m: make(map[string]int64)} }
-
-// Add increments label by delta.
-func (c *Counters) Add(label string, delta int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[label] += delta
-}
-
-// Get returns the current value of label (0 if never touched).
-func (c *Counters) Get(label string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m[label]
-}
-
-// Labels returns all labels in sorted order.
-func (c *Counters) Labels() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.m))
-	for k := range c.m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Stopwatch measures elapsed time on any clock-like Now function,

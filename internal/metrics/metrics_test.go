@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -11,7 +10,7 @@ func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
-	if h.Count() != 0 || h.Mean() != 0 || h.Percentile(50) != 0 || h.Min() != 0 || h.Max() != 0 {
+	if h.Count() != 0 || h.Mean() != 0 || h.Percentile(50) != 0 || h.Percentile(0) != 0 || h.Max() != 0 {
 		t.Fatal("empty histogram not all-zero")
 	}
 }
@@ -46,8 +45,8 @@ func TestHistogramPercentiles(t *testing.T) {
 	if got := h.Percentile(0); got != ms(1) {
 		t.Fatalf("p0 = %v", got)
 	}
-	if h.Min() != ms(1) || h.Max() != ms(100) {
-		t.Fatalf("min/max = %v/%v", h.Min(), h.Max())
+	if h.Percentile(0) != ms(1) || h.Max() != ms(100) {
+		t.Fatalf("min/max = %v/%v", h.Percentile(0), h.Max())
 	}
 }
 
@@ -63,31 +62,6 @@ func TestHistogramUnorderedObservations(t *testing.T) {
 	h.Observe(ms(100))
 	if h.Max() != ms(100) {
 		t.Fatalf("Max = %v", h.Max())
-	}
-}
-
-func TestHistogramSummary(t *testing.T) {
-	h := NewHistogram()
-	h.Observe(ms(4))
-	s := h.Summary()
-	for _, want := range []string{"n=1", "mean=4ms", "p50=4ms"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("Summary = %q missing %q", s, want)
-		}
-	}
-}
-
-func TestCounters(t *testing.T) {
-	c := NewCounters()
-	c.Add("hits", 2)
-	c.Add("hits", 3)
-	c.Add("misses", 1)
-	if c.Get("hits") != 5 || c.Get("misses") != 1 || c.Get("unknown") != 0 {
-		t.Fatal("counter values wrong")
-	}
-	labels := c.Labels()
-	if len(labels) != 2 || labels[0] != "hits" || labels[1] != "misses" {
-		t.Fatalf("Labels = %v", labels)
 	}
 }
 
@@ -116,7 +90,7 @@ func TestHistogramInvariantsProperty(t *testing.T) {
 			h.Observe(time.Duration(v) * time.Microsecond)
 		}
 		mean := h.Mean()
-		if mean < h.Min() || mean > h.Max() {
+		if mean < h.Percentile(0) || mean > h.Max() {
 			return false
 		}
 		prev := time.Duration(0)
