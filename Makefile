@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race race chaos fuzz store sim sim-seed cluster bench bench-smoke bench-e12 bench-e13 bench-e14 bench-e15 bench-e16 bench-e17 bench-e18 cover check-metrics check-docs check-clean experiments examples clean
+.PHONY: all build vet test test-race race chaos fuzz store sim sim-seed cluster bench bench-smoke bench-e12 bench-e13 bench-e14 bench-e15 bench-e16 bench-e17 bench-e18 bench-pairs cover check-metrics check-docs check-clean experiments examples clean
 
 all: build vet test
 
@@ -109,6 +109,17 @@ bench-e17:
 # as a latency/staleness/recompute-cost table (BENCH_swarm.json).
 bench-e18:
 	$(GO) run ./cmd/plbench -experiment e18
+
+# Paired end-to-end runs of a parent revision against the working tree
+# (alternating order, medians, quartiles and win counts per metric):
+#   make bench-pairs PARENT=HEAD~1 WORKLOAD=office-churn PAIRS=10 [SEED=1] [SECS=20]
+PARENT ?= HEAD
+WORKLOAD ?= office-churn
+PAIRS ?= 10
+SEED ?= 1
+SECS ?= 20
+bench-pairs:
+	bash scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED) $(SECS)
 
 # Per-package statement coverage summary (what CI uploads as an
 # artifact). Writes cover.out in the working directory.

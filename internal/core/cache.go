@@ -175,9 +175,12 @@ func (c CostSource) String() string {
 	return "full"
 }
 
-// entry is one cached (document, user) version.
+// entry is one cached (document, user) version. key is the composite
+// key(doc, user), built once at install: the replacement policy tracks
+// entries under it, so hits and drops build no key string, and the
+// stripe table files the entry under substrings of it.
 type entry struct {
-	doc, user    string
+	key          string
 	signature    sig.Signature
 	size         int64
 	cost         time.Duration
@@ -364,8 +367,12 @@ type Cache struct {
 	// work. interMu ranks with the shard locks: leaf locks nest under
 	// it, it is never held together with a shard lock, and never held
 	// across docspace calls or clock sleeps (see intermediate.go).
+	// interByDoc is inter's side index by installing document (doc →
+	// key → entry), written only at install and drop, so both
+	// invalidation sweeps visit only the document's own intermediates.
 	interMu      sync.Mutex
 	inter        map[string]*interEntry
+	interByDoc   map[string]map[string]*interEntry
 	interFlights map[string]*iflight
 
 	// lastCause remembers, per document, the most recent invalidation
@@ -426,6 +433,7 @@ func New(space *docspace.Space, opts Options) *Cache {
 		policy:       policy,
 		blobs:        make(map[sig.Signature]*blob),
 		inter:        make(map[string]*interEntry),
+		interByDoc:   make(map[string]map[string]*interEntry),
 		interFlights: make(map[string]*iflight),
 		dirty:        make(map[string]*dirtyWrite),
 		baseNotif:    make(map[string]bool),
@@ -489,12 +497,10 @@ func (c *Cache) Len() int { return c.idx.count() }
 // Contains reports whether a valid entry exists for (doc, user)
 // without running verifiers or charging time.
 func (c *Cache) Contains(doc, user string) bool {
-	k := key(doc, user)
-	sh := c.idx.shardFor(k)
+	sh := c.idx.shardFor(doc, user)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	_, ok := sh.entries[k]
-	return ok
+	return sh.get(doc, user) != nil
 }
 
 // EntryInfo is the cache-relevant metadata of a served read, for
@@ -617,7 +623,6 @@ func (c *Cache) ReadSharedHit(doc, user string) ([]byte, EntryInfo, bool) {
 	if err != nil {
 		return nil, EntryInfo{}, false
 	}
-	k := key(doc, owner)
 
 	var tr *obs.ReadTrace
 	var t0 time.Time
@@ -626,7 +631,7 @@ func (c *Cache) ReadSharedHit(doc, user string) ([]byte, EntryInfo, bool) {
 		tr = &obs.ReadTrace{Doc: doc, User: user, Verdict: obs.VerdictHit}
 		t0 = time.Now()
 	}
-	h, outcome := c.lookupHit(c.idx.shardFor(k), k, doc, owner, tr)
+	h, outcome := c.lookupHit(c.idx.shardFor(doc, owner), doc, owner, tr)
 	if outcome != hitServed {
 		return nil, EntryInfo{}, false
 	}
@@ -663,13 +668,13 @@ type hit struct {
 // forwarded. lookupHit never copies, counts a rejection or drops an
 // entry: those belong to the caller. tr, when non-nil, receives the
 // lookup and verify spans.
-func (c *Cache) lookupHit(sh *shard, k, doc, owner string, tr *obs.ReadTrace) (hit, hitOutcome) {
+func (c *Cache) lookupHit(sh *shard, doc, owner string, tr *obs.ReadTrace) (hit, hitOutcome) {
 	var tLookup time.Time
 	if tr != nil {
 		tLookup = time.Now()
 	}
 	sh.mu.Lock()
-	e := sh.entries[k]
+	e := sh.get(doc, owner)
 	var data []byte
 	var crc uint32
 	var present bool
@@ -711,13 +716,13 @@ func (c *Cache) lookupHit(sh *shard, k, doc, owner string, tr *obs.ReadTrace) (h
 
 	sh.mu.Lock()
 	// The entry may have been invalidated while verifying.
-	if sh.entries[k] != e {
+	if sh.get(doc, owner) != e {
 		sh.mu.Unlock()
 		return h, hitRaced
 	}
 	c.stats.hits.Inc()
 	c.policyMu.Lock()
-	c.policy.Access(k)
+	c.policy.Access(e.key)
 	c.policyMu.Unlock()
 	sh.mu.Unlock()
 	if e.cacheability == property.CacheWithEvents {
@@ -743,9 +748,8 @@ func (c *Cache) readWithInfo(doc, user string, tr *obs.ReadTrace) ([]byte, Entry
 	if c.closed.Load() {
 		return nil, EntryInfo{}, ErrClosed
 	}
-	k := key(doc, user)
-	sh := c.idx.shardFor(k)
-	h, outcome := c.lookupHit(sh, k, doc, user, tr)
+	sh := c.idx.shardFor(doc, user)
+	h, outcome := c.lookupHit(sh, doc, user, tr)
 	switch outcome {
 	case hitServed:
 		out := make([]byte, len(h.data))
@@ -756,15 +760,15 @@ func (c *Cache) readWithInfo(doc, user string, tr *obs.ReadTrace) ([]byte, Entry
 		c.stats.verifierRejects.Inc()
 		// Drop only if the rejected entry is still installed; a
 		// concurrent reinstall must not lose its fresh entry.
-		if sh.entries[k] == h.e {
-			c.dropShardLocked(sh, k)
+		if sh.get(doc, user) == h.e {
+			c.dropShardLocked(sh, doc, user)
 		}
 		sh.mu.Unlock()
 		// The pull-side of paper cause 4: the entry died because a
 		// verifier caught a change notifiers could not see.
 		c.recordCause(doc, obs.CauseVerifier)
 	}
-	return c.coalescedMiss(sh, k, doc, user, true, tr)
+	return c.coalescedMiss(sh, doc, user, true, tr)
 }
 
 // forward redelivers an operation event for a CacheWithEvents entry.
@@ -779,8 +783,9 @@ func (c *Cache) forward(doc, user string, kind event.Kind) {
 // result; followers block and share it. Prefetching happens after the
 // flight resolves so a collection that (transitively) references the
 // document being read can never re-enter its own flight.
-func (c *Cache) coalescedMiss(sh *shard, k, doc, user string, mayPrefetch bool, tr *obs.ReadTrace) ([]byte, EntryInfo, error) {
-	f, leader := c.joinOrLead(sh, k)
+func (c *Cache) coalescedMiss(sh *shard, doc, user string, mayPrefetch bool, tr *obs.ReadTrace) ([]byte, EntryInfo, error) {
+	du := docUser{doc, user}
+	f, leader := c.joinOrLead(sh, du)
 	if !leader {
 		var tWait time.Time
 		if tr != nil {
@@ -800,7 +805,7 @@ func (c *Cache) coalescedMiss(sh *shard, k, doc, user string, mayPrefetch bool, 
 		return out, f.info, nil
 	}
 	data, info, related, err := c.miss(doc, user, tr)
-	c.finish(sh, k, f, data, info, err)
+	c.finish(sh, du, f, data, info, err)
 	if err == nil && mayPrefetch && !c.opts.DisablePrefetch {
 		c.prefetch(user, related)
 	}
@@ -822,6 +827,7 @@ func (c *Cache) docGen(doc string) *atomic.Uint64 {
 // its cacheability indicator, returning the related-document hints for
 // the caller to prefetch (nil unless an entry was installed).
 func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (data []byte, info EntryInfo, related []string, err error) {
+	k := key(doc, user)
 	// Snapshot the document's invalidation generation: if a
 	// notification arrives while the read path is executing, the
 	// result may already be stale and must not be cached (the
@@ -832,7 +838,7 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (data []byte, info Ent
 	// Durable tier first: a revalidated disk entry costs one source
 	// fetch instead of the whole transform chain.
 	if c.opts.Store != nil {
-		if data, info, ok := c.promote(doc, user, g, gen); ok {
+		if data, info, ok := c.promote(k, doc, user, g, gen); ok {
 			return data, info, nil, nil
 		}
 	}
@@ -891,8 +897,7 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (data []byte, info Ent
 		// callbacks re-enter the entry table.
 		c.clk.Sleep(c.opts.FillCost)
 	}
-	k := key(doc, user)
-	sh := c.idx.shardFor(k)
+	sh := c.idx.shardFor(doc, user)
 	sh.mu.Lock()
 	if c.closed.Load() {
 		sh.mu.Unlock()
@@ -906,11 +911,11 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (data []byte, info Ent
 		sh.mu.Unlock()
 		return data, info, nil, nil
 	}
-	c.dropShardLocked(sh, k) // replace any stale entry
+	c.dropShardLocked(sh, doc, user) // replace any stale entry
 	s := c.storeBlob(data)
 	info.Signature = s
 	e := &entry{
-		doc: doc, user: user,
+		key:          k,
 		signature:    s,
 		size:         int64(len(data)),
 		cost:         res.Cost,
@@ -918,7 +923,7 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (data []byte, info Ent
 		verifiers:    res.Verifiers,
 		storedAt:     c.clk.Now(),
 	}
-	sh.entries[k] = e
+	sh.put(e)
 	c.stats.bytesLogical.Add(e.size)
 	policyCost := e.cost
 	if c.opts.CostSource == CostConstant {
@@ -934,7 +939,7 @@ func (c *Cache) miss(doc, user string, tr *obs.ReadTrace) (data []byte, info Ent
 	// Write-behind demotion at install time, not at eviction: a warm
 	// restart must recover the cache as it was, including entries that
 	// were never evicted. All store I/O runs outside cache locks.
-	c.demoteEntry(doc, user, data, res, trace, g, gen)
+	c.demoteEntry(doc, user, data, s, res, trace, g, gen)
 	return data, info, res.Related, nil
 }
 
@@ -946,15 +951,15 @@ func (c *Cache) prefetch(user string, related []string) {
 		if c.closed.Load() {
 			continue
 		}
-		k := key(doc, user)
-		sh := c.idx.shardFor(k)
+		sh := c.idx.shardFor(doc, user)
 		sh.mu.Lock()
-		_, cached := sh.entries[k]
+		cached := sh.get(doc, user) != nil
 		sh.mu.Unlock()
 		if cached {
 			continue
 		}
-		f, leader := c.joinOrLead(sh, k)
+		du := docUser{doc, user}
+		f, leader := c.joinOrLead(sh, du)
 		if !leader {
 			// Someone is already fetching this member; the prefetch
 			// goal (a warm entry) is being met without us.
@@ -962,7 +967,7 @@ func (c *Cache) prefetch(user string, related []string) {
 			continue
 		}
 		data, info, _, err := c.miss(doc, user, nil)
-		c.finish(sh, k, f, data, info, err)
+		c.finish(sh, du, f, data, info, err)
 		if err != nil {
 			continue
 		}
@@ -1059,17 +1064,17 @@ func (c *Cache) unrefBlob(s sig.Signature, asEntry bool) {
 	}
 }
 
-// dropShardLocked removes an entry and releases its blob reference.
-// The caller holds sh.mu; policyMu and blobMu are taken as nested leaf
-// locks. Reports whether an entry was actually present.
-func (c *Cache) dropShardLocked(sh *shard, k string) bool {
-	e, ok := sh.entries[k]
-	if !ok {
+// dropShardLocked removes the (doc, user) entry and releases its blob
+// reference. The caller holds sh.mu; policyMu and blobMu are taken as
+// nested leaf locks. Reports whether an entry was actually present.
+func (c *Cache) dropShardLocked(sh *shard, doc, user string) bool {
+	e := sh.get(doc, user)
+	if e == nil {
 		return false
 	}
-	delete(sh.entries, k)
+	sh.remove(doc, user)
 	c.policyMu.Lock()
-	c.policy.Remove(k)
+	c.policy.Remove(e.key)
 	c.policyMu.Unlock()
 	c.stats.bytesLogical.Add(-e.size)
 	c.releaseBlob(e.signature)
@@ -1114,9 +1119,10 @@ func (c *Cache) evict(exempt string) {
 			}
 			continue
 		}
-		sh := c.idx.shardFor(victim)
+		doc, user := splitKey(victim)
+		sh := c.idx.shardFor(doc, user)
 		sh.mu.Lock()
-		if victim != exempt && sh.flights[victim] != nil {
+		if victim != exempt && sh.flights[docUser{doc, user}] != nil {
 			// Pinned. Victim only peeks, so take the key out of the
 			// policy ourselves — each pass over a pinned key shrinks
 			// the policy, which keeps the loop terminating when only
@@ -1124,13 +1130,13 @@ func (c *Cache) evict(exempt string) {
 			c.policyMu.Lock()
 			c.policy.Remove(victim)
 			c.policyMu.Unlock()
-			if _, present := sh.entries[victim]; present {
+			if sh.get(doc, user) != nil {
 				pinned = append(pinned, victim)
 			}
 			sh.mu.Unlock()
 			continue
 		}
-		if c.dropShardLocked(sh, victim) {
+		if c.dropShardLocked(sh, doc, user) {
 			c.stats.evictions.Inc()
 		}
 		// else: a concurrent invalidation beat us to the victim (and
@@ -1146,9 +1152,10 @@ func (c *Cache) evict(exempt string) {
 // Victim calls spin on a ghost.
 func (c *Cache) reinsertPinned(keys []string) {
 	for _, k := range keys {
-		sh := c.idx.shardFor(k)
+		doc, user := splitKey(k)
+		sh := c.idx.shardFor(doc, user)
 		sh.mu.Lock()
-		if e, ok := sh.entries[k]; ok {
+		if e := sh.get(doc, user); e != nil {
 			policyCost := e.cost
 			if c.opts.CostSource == CostConstant {
 				policyCost = time.Millisecond

@@ -29,7 +29,7 @@ type world struct {
 	cache *Cache
 }
 
-func newWorld(t *testing.T, opts Options) *world {
+func newWorld(t testing.TB, opts Options) *world {
 	t.Helper()
 	clk := clock.NewVirtual(epoch)
 	w := &world{
@@ -43,7 +43,7 @@ func newWorld(t *testing.T, opts Options) *world {
 	return w
 }
 
-func (w *world) addDoc(t *testing.T, id, owner, path string, content []byte) {
+func (w *world) addDoc(t testing.TB, id, owner, path string, content []byte) {
 	t.Helper()
 	w.src.Store(path, content)
 	if _, err := w.space.CreateDocument(id, owner, &property.RepoBitProvider{Repo: w.src, Path: path}); err != nil {

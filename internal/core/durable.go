@@ -62,11 +62,12 @@ func (c *Cache) appendEpoch(doc string, gen uint64) {
 	}
 }
 
-// promote attempts to serve a miss from the durable tier. g/gen are
-// the caller's generation counter and its pre-read snapshot. Returns
-// ok=false (and counts a reject when a candidate existed) if the tier
-// has no usable entry, in which case the caller runs the transforms.
-func (c *Cache) promote(doc, user string, g *atomic.Uint64, gen uint64) ([]byte, EntryInfo, bool) {
+// promote attempts to serve a miss from the durable tier. k is
+// key(doc, user); g/gen are the caller's generation counter and its
+// pre-read snapshot. Returns ok=false (and counts a reject when a
+// candidate existed) if the tier has no usable entry, in which case the
+// caller runs the transforms.
+func (c *Cache) promote(k, doc, user string, g *atomic.Uint64, gen uint64) ([]byte, EntryInfo, bool) {
 	st := c.opts.Store
 	e, ok := st.GetEntry(doc, user)
 	if !ok {
@@ -103,8 +104,7 @@ func (c *Cache) promote(doc, user string, g *atomic.Uint64, gen uint64) ([]byte,
 		},
 	}
 
-	k := key(doc, user)
-	sh := c.idx.shardFor(k)
+	sh := c.idx.shardFor(doc, user)
 	sh.mu.Lock()
 	if c.closed.Load() || g.Load() != gen {
 		// Closed, or invalidated since the caller's snapshot: the probe
@@ -113,10 +113,10 @@ func (c *Cache) promote(doc, user string, g *atomic.Uint64, gen uint64) ([]byte,
 		c.stats.storePromotionRejects.Inc()
 		return nil, EntryInfo{}, false
 	}
-	c.dropShardLocked(sh, k)
+	c.dropShardLocked(sh, doc, user)
 	s := c.storeBlob(data)
 	ent := &entry{
-		doc: doc, user: user,
+		key:          k,
 		signature:    s,
 		size:         int64(len(data)),
 		cost:         e.Cost,
@@ -124,7 +124,7 @@ func (c *Cache) promote(doc, user string, g *atomic.Uint64, gen uint64) ([]byte,
 		verifiers:    []property.Verifier{verifier},
 		storedAt:     c.clk.Now(),
 	}
-	sh.entries[k] = ent
+	sh.put(ent)
 	c.stats.bytesLogical.Add(ent.size)
 	policyCost := ent.cost
 	if c.opts.CostSource == CostConstant {
@@ -144,11 +144,12 @@ func (c *Cache) promote(doc, user string, g *atomic.Uint64, gen uint64) ([]byte,
 	return out, EntryInfo{Cacheability: property.Unrestricted, Cost: e.Cost, DiskPromoted: true, Signature: s}, true
 }
 
-// demoteEntry writes an installed result behind to the disk tier. g/gen
-// are the install's generation counter and snapshot; trace is the
-// staged read's trace, whose SourceSig pins which source bytes the
-// result was actually computed from.
-func (c *Cache) demoteEntry(doc, user string, data []byte, res property.ReadResult, trace docspace.StageTrace, g *atomic.Uint64, gen uint64) {
+// demoteEntry writes an installed result behind to the disk tier. s is
+// data's signature, computed when the install interned it; g/gen are
+// the install's generation counter and snapshot; trace is the staged
+// read's trace, whose SourceSig pins which source bytes the result was
+// actually computed from.
+func (c *Cache) demoteEntry(doc, user string, data []byte, s sig.Signature, res property.ReadResult, trace docspace.StageTrace, g *atomic.Uint64, gen uint64) {
 	st := c.opts.Store
 	if st == nil || res.Cacheability != property.Unrestricted ||
 		res.Cost < c.opts.DurableMinCost || !trace.Attempted {
@@ -169,7 +170,7 @@ func (c *Cache) demoteEntry(doc, user string, data []byte, res property.ReadResu
 		return
 	}
 	if prev, ok := st.GetEntry(doc, user); ok &&
-		prev.Sig == sig.Of(data) && prev.Gen == gen &&
+		prev.Sig == s && prev.Gen == gen &&
 		prev.SourceSig == ck.SourceSig &&
 		prev.UniversalFP == ck.UniversalFP &&
 		prev.PersonalFP == ck.PersonalFP {

@@ -29,7 +29,9 @@ import (
 //     poison every cut at or after them.
 // A key can therefore never serve wrong bytes; an invalidation merely
 // strands the old keys, and invalidateDoc sweeps stranded intermediates
-// eagerly so they do not have to age out of the policy.
+// eagerly so they do not have to age out of the policy. The sweeps go
+// through a side index by document (Cache.interByDoc), so their cost is
+// the document's intermediates, not the whole store.
 //
 // Storing every prefix of a long chain is quadratic in bytes, so
 // installs are gated on recompute-cost-per-size
@@ -246,7 +248,14 @@ func (c *Cache) prefixWorthStoring(cost time.Duration, size int64) bool {
 // correctness problem: the key's bytes are right by construction).
 func (c *Cache) storeIntermediateLocked(k, doc, user string, data []byte, cost time.Duration) {
 	s := c.internBlob(data, false)
-	c.inter[k] = &interEntry{doc: doc, user: user, signature: s, size: int64(len(data))}
+	e := &interEntry{doc: doc, user: user, signature: s, size: int64(len(data))}
+	c.inter[k] = e
+	byKey := c.interByDoc[doc]
+	if byKey == nil {
+		byKey = make(map[string]*interEntry)
+		c.interByDoc[doc] = byKey
+	}
+	byKey[k] = e
 	c.stats.intermediateEntries.Inc()
 	c.stats.intermediateBytes.Add(int64(len(data)))
 	c.policyMu.Lock()
@@ -269,6 +278,11 @@ func (c *Cache) dropIntermediateLocked(k string) bool {
 		return false
 	}
 	delete(c.inter, k)
+	byKey := c.interByDoc[e.doc]
+	delete(byKey, k)
+	if len(byKey) == 0 {
+		delete(c.interByDoc, e.doc)
+	}
 	c.policyMu.Lock()
 	c.policy.Remove(k)
 	c.policyMu.Unlock()
@@ -286,10 +300,8 @@ func (c *Cache) dropIntermediateLocked(k string) bool {
 func (c *Cache) sweepIntermediates(doc string) {
 	c.interMu.Lock()
 	defer c.interMu.Unlock()
-	for k, e := range c.inter {
-		if e.doc == doc {
-			c.dropIntermediateLocked(k)
-		}
+	for k := range c.interByDoc[doc] {
+		c.dropIntermediateLocked(k)
 	}
 }
 
@@ -301,8 +313,8 @@ func (c *Cache) sweepIntermediates(doc string) {
 func (c *Cache) sweepUserIntermediates(doc, user string) {
 	c.interMu.Lock()
 	defer c.interMu.Unlock()
-	for k, e := range c.inter {
-		if e.doc == doc && e.user != "" && e.user == user {
+	for k, e := range c.interByDoc[doc] {
+		if e.user != "" && e.user == user {
 			c.dropIntermediateLocked(k)
 		}
 	}
@@ -313,6 +325,7 @@ func (c *Cache) clearIntermediates() {
 	c.interMu.Lock()
 	defer c.interMu.Unlock()
 	c.inter = make(map[string]*interEntry)
+	c.interByDoc = make(map[string]map[string]*interEntry)
 	c.stats.intermediateEntries.Store(0)
 	c.stats.intermediateBytes.Store(0)
 }

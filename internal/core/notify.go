@@ -83,19 +83,18 @@ func (c *Cache) installNotifiers(doc, user string) {
 }
 
 // invalidateDoc bumps the document's generation and drops every user's
-// entry for it, visiting the stripes one lock at a time. The
-// generation bump strictly precedes the stripe scan: an install that
-// read the old generation either completes before the scan reaches its
-// stripe (and is dropped by it) or observes the bump under its stripe
-// lock and aborts — no stale entry can survive.
+// entry for it, visiting the stripes one lock at a time and, in each,
+// only the document's own slot. The generation bump strictly precedes
+// the stripe visit: an install that read the old generation either
+// completes before the visit reaches its stripe (and is dropped by it)
+// or observes the bump under its stripe lock and aborts — no stale
+// entry can survive.
 func (c *Cache) invalidateDoc(doc string) {
 	c.appendEpoch(doc, c.docGen(doc).Add(1))
 	c.idx.each(func(sh *shard) {
-		for k, ent := range sh.entries {
-			if ent.doc == doc {
-				if c.dropShardLocked(sh, k) {
-					c.stats.invalidations.Inc()
-				}
+		for user := range sh.entries[doc] {
+			if c.dropShardLocked(sh, doc, user) {
+				c.stats.invalidations.Inc()
 			}
 		}
 	})
@@ -141,10 +140,9 @@ func (c *Cache) observeInvalidation(e event.Event) {
 // change cannot affect universal-stage output.
 func (c *Cache) invalidateUser(doc, user string) {
 	c.appendEpoch(doc, c.docGen(doc).Add(1))
-	k := key(doc, user)
-	sh := c.idx.shardFor(k)
+	sh := c.idx.shardFor(doc, user)
 	sh.mu.Lock()
-	if c.dropShardLocked(sh, k) {
+	if c.dropShardLocked(sh, doc, user) {
 		c.stats.invalidations.Inc()
 	}
 	sh.mu.Unlock()
@@ -202,7 +200,7 @@ func (c *Cache) shutdown() {
 	// under their stripe lock before installing, so nothing leaks in
 	// after the sweep.
 	c.idx.each(func(sh *shard) {
-		sh.entries = make(map[string]*entry)
+		sh.entries = make(map[string]map[string]*entry)
 	})
 	c.blobMu.Lock()
 	c.blobs = make(map[sig.Signature]*blob)

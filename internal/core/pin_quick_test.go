@@ -45,9 +45,9 @@ func TestQuickEvictNeverTakesPinnedEntry(t *testing.T) {
 			}
 			k := key(d, "u")
 			fl := &flight{done: make(chan struct{})}
-			sh := w.cache.idx.shardFor(k)
+			sh := w.cache.idx.shardFor(d, "u")
 			sh.mu.Lock()
-			sh.flights[k] = fl
+			sh.flights[docUser{d, "u"}] = fl
 			sh.mu.Unlock()
 			pinned[k] = true
 			fakes[k] = fl
@@ -66,9 +66,10 @@ func TestQuickEvictNeverTakesPinnedEntry(t *testing.T) {
 
 		// Release the flights; the budget must then be enforceable.
 		for k, fl := range fakes {
-			sh := w.cache.idx.shardFor(k)
+			doc, user := splitKey(k)
+			sh := w.cache.idx.shardFor(doc, user)
 			sh.mu.Lock()
-			delete(sh.flights, k)
+			delete(sh.flights, docUser{doc, user})
 			sh.mu.Unlock()
 			close(fl.done)
 		}
@@ -94,11 +95,10 @@ func TestEvictPinnedThenInvalidatedDoesNotGhost(t *testing.T) {
 	w.addDoc(t, "a", "u", "/a", make([]byte, 64))
 	w.read(t, "a", "u")
 
-	k := key("a", "u")
 	fl := &flight{done: make(chan struct{})}
-	sh := w.cache.idx.shardFor(k)
+	sh := w.cache.idx.shardFor("a", "u")
 	sh.mu.Lock()
-	sh.flights[k] = fl
+	sh.flights[docUser{"a", "u"}] = fl
 	sh.mu.Unlock()
 
 	w.cache.Resize(16) // pinned: survives, goes through remove+reinsert
@@ -106,11 +106,11 @@ func TestEvictPinnedThenInvalidatedDoesNotGhost(t *testing.T) {
 	// Invalidate underneath (simulates the racing replacement).
 	sh.mu.Lock()
 	c := w.cache
-	c.dropShardLocked(sh, k)
+	c.dropShardLocked(sh, "a", "u")
 	sh.mu.Unlock()
 
 	sh.mu.Lock()
-	delete(sh.flights, k)
+	delete(sh.flights, docUser{"a", "u"})
 	sh.mu.Unlock()
 	close(fl.done)
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"hash/fnv"
 	"math/rand"
 	"strings"
 	"testing"
@@ -97,15 +98,19 @@ func TestQuickCostAccumulationOrderIndependent(t *testing.T) {
 // function of the key bytes and the shard count — repeated lookups and
 // lookups on an identically built index always agree. This is what
 // makes it safe for invalidation and install paths to locate the same
-// stripe independently.
+// stripe independently. The in-place hash equals 32-bit FNV-1a over
+// the composite key's bytes, so every key keeps the stripe it had when
+// the stripes were chosen by hashing key(doc, user) itself.
 func TestQuickShardAssignmentStable(t *testing.T) {
 	idx := newShardedIndex(16)
 	idx2 := newShardedIndex(16)
 	f := func(doc, user string) bool {
-		k := key(doc, user)
-		a, b, c := idx.shardFor(k), idx.shardFor(k), idx2.shardFor(k)
-		return a == b && a == &idx.shards[shardHash(k)&idx.mask] &&
-			c == &idx2.shards[shardHash(k)&idx2.mask]
+		ref := fnv.New32a()
+		ref.Write([]byte(key(doc, user)))
+		h := shardHash(doc, user)
+		a, b, c := idx.shardFor(doc, user), idx.shardFor(doc, user), idx2.shardFor(doc, user)
+		return h == ref.Sum32() && a == b && a == &idx.shards[h&idx.mask] &&
+			c == &idx2.shards[h&idx2.mask]
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -138,7 +143,7 @@ func TestShardDistribution(t *testing.T) {
 	counts := make(map[*shard]int)
 	for i := 0; i < keys; i++ {
 		doc := "doc-" + strings.Repeat("x", i%7) + string(rune('a'+i%26)) + itoa(i)
-		counts[idx.shardFor(key(doc, "user-"+itoa(i%40)))]++
+		counts[idx.shardFor(doc, "user-"+itoa(i%40))]++
 	}
 	if len(counts) != shards {
 		t.Fatalf("only %d of %d stripes used", len(counts), shards)
@@ -174,13 +179,13 @@ func FuzzShardHash(f *testing.F) {
 	f.Add("d\x00embedded", "nul\x00user")
 	f.Fuzz(func(t *testing.T, doc, user string) {
 		k := key(doc, user)
-		h1, h2 := shardHash(k), shardHash(k)
+		h1, h2 := shardHash(doc, user), shardHash(doc, user)
 		if h1 != h2 {
 			t.Fatalf("shardHash unstable: %d vs %d", h1, h2)
 		}
 		for _, n := range []int{1, 2, 8, 16, 256} {
 			idx := newShardedIndex(n)
-			sh := idx.shardFor(k)
+			sh := idx.shardFor(doc, user)
 			found := false
 			for i := range idx.shards {
 				if sh == &idx.shards[i] {

@@ -13,6 +13,12 @@ import (
 // an FNV-1a hash of the (doc, user) key masked to a power-of-two
 // shard count.
 //
+// Within a stripe, entries are nested by document (entries[doc][user])
+// so that a document-wide invalidation visits only the document's own
+// entries: its cost is the number of entries the document has, not the
+// size of the cache. A document's slot is deleted with its last entry,
+// so the table never holds empty per-document maps.
+//
 // Lock ordering (see also DESIGN.md §"Sharded cache core"):
 //
 //	shard.mu | interMu  >  policyMu | blobMu     (leaf locks)
@@ -27,11 +33,44 @@ import (
 // across clock sleeps — both can synchronously re-enter the cache
 // through notifier callbacks and timer-driven flushes.
 
-// shard is one stripe of the (doc, user) index.
+// shard is one stripe of the (doc, user) index. entries is keyed by
+// document, then user; flights by the pair itself, so neither a hit nor
+// joining a flight builds a key string.
 type shard struct {
 	mu      sync.Mutex
-	entries map[string]*entry
-	flights map[string]*flight
+	entries map[string]map[string]*entry
+	flights map[docUser]*flight
+}
+
+// docUser identifies an in-flight miss.
+type docUser struct{ doc, user string }
+
+// get returns the entry for (doc, user), or nil. Caller holds sh.mu.
+func (sh *shard) get(doc, user string) *entry {
+	return sh.entries[doc][user]
+}
+
+// put installs e under the (doc, user) of its key, using substrings of
+// the key so the table retains no other copy of either. Caller holds
+// sh.mu.
+func (sh *shard) put(e *entry) {
+	doc, user := splitKey(e.key)
+	users := sh.entries[doc]
+	if users == nil {
+		users = make(map[string]*entry)
+		sh.entries[doc] = users
+	}
+	users[user] = e
+}
+
+// remove deletes (doc, user) and the document's slot with its last
+// entry. Caller holds sh.mu.
+func (sh *shard) remove(doc, user string) {
+	users := sh.entries[doc]
+	delete(users, user)
+	if len(users) == 0 {
+		delete(sh.entries, doc)
+	}
 }
 
 // shardedIndex is the striped entry table.
@@ -75,8 +114,8 @@ func newShardedIndex(n int) *shardedIndex {
 	}
 	idx := &shardedIndex{shards: make([]shard, n), mask: uint32(n - 1)}
 	for i := range idx.shards {
-		idx.shards[i].entries = make(map[string]*entry)
-		idx.shards[i].flights = make(map[string]*flight)
+		idx.shards[i].entries = make(map[string]map[string]*entry)
+		idx.shards[i].flights = make(map[docUser]*flight)
 	}
 	return idx
 }
@@ -87,21 +126,27 @@ const (
 	fnvPrime32  = 16777619
 )
 
-// shardHash is FNV-1a over the (doc, user) key. It is the stable
-// shard-assignment function: equal keys always land on the same
-// stripe, regardless of map iteration or insertion order.
-func shardHash(k string) uint32 {
+// shardHash is FNV-1a over the bytes of the composite key
+// doc + "\x00" + user, hashed in place so a lookup builds no string.
+// It is the stable shard-assignment function: equal keys always land
+// on the same stripe, regardless of map iteration or insertion order.
+func shardHash(doc, user string) uint32 {
 	h := uint32(fnvOffset32)
-	for i := 0; i < len(k); i++ {
-		h ^= uint32(k[i])
+	for i := 0; i < len(doc); i++ {
+		h ^= uint32(doc[i])
+		h *= fnvPrime32
+	}
+	h *= fnvPrime32 // the NUL separator: h ^= 0 is a no-op
+	for i := 0; i < len(user); i++ {
+		h ^= uint32(user[i])
 		h *= fnvPrime32
 	}
 	return h
 }
 
-// shardFor returns the stripe owning key k.
-func (x *shardedIndex) shardFor(k string) *shard {
-	return &x.shards[shardHash(k)&x.mask]
+// shardFor returns the stripe owning (doc, user).
+func (x *shardedIndex) shardFor(doc, user string) *shard {
+	return &x.shards[shardHash(doc, user)&x.mask]
 }
 
 // each visits every stripe in index order, locking one at a time —
@@ -119,6 +164,10 @@ func (x *shardedIndex) each(fn func(sh *shard)) {
 // count sums entries across stripes.
 func (x *shardedIndex) count() int {
 	n := 0
-	x.each(func(sh *shard) { n += len(sh.entries) })
+	x.each(func(sh *shard) {
+		for _, users := range sh.entries {
+			n += len(users)
+		}
+	})
 	return n
 }

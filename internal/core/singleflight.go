@@ -20,18 +20,18 @@ type flight struct {
 	err  error
 }
 
-// joinOrLead looks up an in-flight read for k under the shard lock.
+// joinOrLead looks up an in-flight read for du under the shard lock.
 // If one exists it is returned with leader=false and the caller must
 // wait on it; otherwise a new flight is registered and returned with
 // leader=true, and the caller must complete it via finish.
-func (c *Cache) joinOrLead(sh *shard, k string) (f *flight, leader bool) {
+func (c *Cache) joinOrLead(sh *shard, du docUser) (f *flight, leader bool) {
 	sh.mu.Lock()
-	if f := sh.flights[k]; f != nil {
+	if f := sh.flights[du]; f != nil {
 		sh.mu.Unlock()
 		return f, false
 	}
 	f = &flight{done: make(chan struct{})}
-	sh.flights[k] = f
+	sh.flights[du] = f
 	sh.mu.Unlock()
 	return f, true
 }
@@ -40,10 +40,10 @@ func (c *Cache) joinOrLead(sh *shard, k string) (f *flight, leader bool) {
 // flight is deregistered before done is closed, so a follower that
 // wakes and misses again starts a fresh flight rather than joining a
 // completed one.
-func (c *Cache) finish(sh *shard, k string, f *flight, data []byte, info EntryInfo, err error) {
+func (c *Cache) finish(sh *shard, du docUser, f *flight, data []byte, info EntryInfo, err error) {
 	f.data, f.info, f.err = data, info, err
 	sh.mu.Lock()
-	delete(sh.flights, k)
+	delete(sh.flights, du)
 	sh.mu.Unlock()
 	close(f.done)
 }

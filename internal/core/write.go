@@ -38,9 +38,9 @@ func (c *Cache) Write(doc, user string, data []byte) error {
 	// document stale for this user only after flush; conservatively
 	// drop the user's read entry now so reads observe their own
 	// writes once flushed.
-	sh := c.idx.shardFor(k)
+	sh := c.idx.shardFor(doc, user)
 	sh.mu.Lock()
-	c.dropShardLocked(sh, k)
+	c.dropShardLocked(sh, doc, user)
 	sh.mu.Unlock()
 	if c.writeVote(doc, user) >= property.CacheWithEvents {
 		c.forward(doc, user, event.GetOutputStream)

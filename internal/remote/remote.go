@@ -142,9 +142,12 @@ type Stats struct {
 	DegradedErrors int64
 }
 
-// entry is one cached (doc, user) version.
+// entry is one cached (doc, user) version. key is the composite
+// key(doc, user), built once at install: the replacement policy tracks
+// entries under it, so hits and drops build no key string, and the
+// table files the entry under substrings of it.
 type entry struct {
-	doc, user    string
+	key          string
 	signature    sig.Signature
 	size         int64
 	cost         time.Duration
@@ -160,12 +163,18 @@ type blob struct {
 
 // Cache is a client-side cache over a server.Client. Safe for
 // concurrent use.
+//
+// entries is nested doc → user → entry, like the origin core's
+// stripes: a document-wide push visits only the document's own
+// entries while holding mu, so the node's reads stall for the
+// document's entries, not the whole cache. A document's slot is
+// deleted with its last entry.
 type Cache struct {
 	client *server.Client
 
 	mu            sync.Mutex
 	closed        bool
-	entries       map[string]*entry
+	entries       map[string]map[string]*entry
 	blobs         map[sig.Signature]*blob
 	policy        replace.Policy
 	subscribed    map[string]bool    // (doc,user) subscription dedup
@@ -193,6 +202,12 @@ type flight struct {
 
 func key(doc, user string) string { return doc + "\x00" + user }
 
+// splitKey is the inverse of key (document ids never contain NUL).
+func splitKey(k string) (doc, user string) {
+	doc, user, _ = strings.Cut(k, "\x00")
+	return doc, user
+}
+
 // New wraps client with a cache and registers the invalidation,
 // reconnect, and connection-state handlers. The caller must not
 // install its own OnInvalidate handler on the client afterwards. For
@@ -205,7 +220,7 @@ func New(client *server.Client, opts Options) *Cache {
 	}
 	c := &Cache{
 		client:     client,
-		entries:    make(map[string]*entry),
+		entries:    make(map[string]map[string]*entry),
 		blobs:      make(map[sig.Signature]*blob),
 		policy:     policy,
 		subscribed: make(map[string]bool),
@@ -265,9 +280,12 @@ func (c *Cache) onReconnect(epoch uint64) {
 	c.connEpoch++
 	myEpoch := c.connEpoch
 	c.stats.Reconnects++
-	flushed := int64(len(c.entries))
-	for k := range c.entries {
-		c.dropLocked(k)
+	var flushed int64
+	for doc, users := range c.entries {
+		for user := range users {
+			c.dropLocked(doc, user)
+			flushed++
+		}
 	}
 	c.stats.EpochFlushes += flushed
 	for doc := range c.gens {
@@ -297,7 +315,7 @@ func (c *Cache) onReconnect(epoch uint64) {
 		o.Invalidations(obs.CauseDegraded, flushed)
 	}
 	for _, k := range subs {
-		doc, user, _ := strings.Cut(k, "\x00")
+		doc, user := splitKey(k)
 		if err := c.client.Subscribe(doc, user); err != nil {
 			// Forget the failed subscription so the next miss on this
 			// key re-subscribes before caching; an entry cached
@@ -368,23 +386,20 @@ func (c *Cache) registerMetrics(o *obs.Observer) {
 }
 
 // onInvalidate handles a server push: user == "" invalidates every
-// user's entry for the document.
+// user's entry for the document, visiting only that document's slot.
 func (c *Cache) onInvalidate(doc, user string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gens[doc]++
 	if user != "" {
-		if _, ok := c.entries[key(doc, user)]; ok {
+		if c.dropLocked(doc, user) {
 			c.stats.Invalidations++
-			c.dropLocked(key(doc, user))
 		}
 		return
 	}
-	for k, e := range c.entries {
-		if e.doc == doc {
-			c.stats.Invalidations++
-			c.dropLocked(k)
-		}
+	for user := range c.entries[doc] {
+		c.dropLocked(doc, user)
+		c.stats.Invalidations++
 	}
 }
 
@@ -417,15 +432,18 @@ func (c *Cache) ConnState() server.ConnState {
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries)
+	n := 0
+	for _, users := range c.entries {
+		n += len(users)
+	}
+	return n
 }
 
 // Contains reports whether (doc, user) is cached.
 func (c *Cache) Contains(doc, user string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.entries[key(doc, user)]
-	return ok
+	return c.entries[doc][user] != nil
 }
 
 // Read returns the user's view of the document, served locally when a
@@ -445,19 +463,18 @@ func (c *Cache) Read(doc, user string) ([]byte, error) {
 		// over an already-down client); the outage starts now.
 		c.degradedSince = c.clk.Now()
 	}
-	k := key(doc, user)
-	if e := c.entries[k]; e != nil {
+	if e := c.entries[doc][user]; e != nil {
 		// Server-issued TTL deadlines are the one verifier that can
 		// cross the wire; honor them before serving — degraded or not.
 		if !e.expires.IsZero() && c.clk.Now().After(e.expires) {
 			c.stats.TTLExpiries++
-			c.dropLocked(k)
+			c.dropLocked(doc, user)
 		} else if degraded {
 			if c.degraded == ServeStale && c.withinStaleBoundLocked() {
 				if b := c.blobs[e.signature]; b != nil {
 					c.stats.Hits++
 					c.stats.StaleServed++
-					c.policy.Access(k)
+					c.policy.Access(e.key)
 					data := b.data
 					c.mu.Unlock()
 					// No hit-time event forwarding while disconnected:
@@ -475,7 +492,7 @@ func (c *Cache) Read(doc, user string) ([]byte, error) {
 			// invalidated during the outage.
 		} else if b := c.blobs[e.signature]; b != nil {
 			c.stats.Hits++
-			c.policy.Access(k)
+			c.policy.Access(e.key)
 			data := b.data
 			forward := e.cacheability == property.CacheWithEvents
 			c.mu.Unlock()
@@ -542,7 +559,7 @@ func (c *Cache) coalescedMiss(doc, user string) ([]byte, error) {
 	c.flights[k] = f
 	c.mu.Unlock()
 
-	data, err := c.miss(doc, user)
+	data, err := c.miss(k, doc, user)
 
 	// Deregister before publishing so a post-failure retry starts a
 	// fresh flight rather than joining this dead one.
@@ -555,8 +572,8 @@ func (c *Cache) coalescedMiss(doc, user string) ([]byte, error) {
 }
 
 // miss fetches through the wire, subscribes for invalidations, and
-// stores the entry per its cacheability.
-func (c *Cache) miss(doc, user string) ([]byte, error) {
+// stores the entry per its cacheability. k is key(doc, user).
+func (c *Cache) miss(k, doc, user string) ([]byte, error) {
 	// Snapshot the invalidation generation, connection epoch, and
 	// suspect flag so a push — or a disconnect/reconnect cycle —
 	// while the remote read is in flight prevents installing a stale
@@ -572,7 +589,6 @@ func (c *Cache) miss(doc, user string) ([]byte, error) {
 	gen := c.gens[doc]
 	ep := c.connEpoch
 	sus := c.suspect
-	k := key(doc, user)
 	needSub := !c.subscribed[k]
 	if needSub {
 		c.subscribed[k] = true
@@ -640,7 +656,7 @@ func (c *Cache) miss(doc, user string) ([]byte, error) {
 		// or the subscription replay has not finished: serve uncached.
 		return data, nil
 	}
-	c.dropLocked(k)
+	c.dropLocked(doc, user)
 	b := c.blobs[s]
 	if b == nil {
 		b = &blob{data: append([]byte{}, data...)}
@@ -648,8 +664,16 @@ func (c *Cache) miss(doc, user string) ([]byte, error) {
 		c.stats.BytesStored += int64(len(data))
 	}
 	b.refs++
-	c.entries[k] = &entry{
-		doc: doc, user: user, signature: s,
+	// File the entry under substrings of k: the table then retains no
+	// other copy of doc or user.
+	doc, user = splitKey(k)
+	users := c.entries[doc]
+	if users == nil {
+		users = make(map[string]*entry)
+		c.entries[doc] = users
+	}
+	users[user] = &entry{
+		key: k, signature: s,
 		size: int64(len(data)), cost: meta.Cost,
 		cacheability: meta.Cacheability,
 		expires:      meta.Expiry,
@@ -680,14 +704,20 @@ func (c *Cache) Write(doc, user string, data []byte) error {
 	return err
 }
 
-// dropLocked removes an entry and its blob reference.
-func (c *Cache) dropLocked(k string) {
-	e, ok := c.entries[k]
-	if !ok {
-		return
+// dropLocked removes the (doc, user) entry, the document's slot with
+// its last entry, and the entry's blob reference. Reports whether an
+// entry was present.
+func (c *Cache) dropLocked(doc, user string) bool {
+	users := c.entries[doc]
+	e := users[user]
+	if e == nil {
+		return false
 	}
-	delete(c.entries, k)
-	c.policy.Remove(k)
+	delete(users, user)
+	if len(users) == 0 {
+		delete(c.entries, doc)
+	}
+	c.policy.Remove(e.key)
 	if b := c.blobs[e.signature]; b != nil {
 		b.refs--
 		if b.refs <= 0 {
@@ -695,6 +725,7 @@ func (c *Cache) dropLocked(k string) {
 			c.stats.BytesStored -= int64(len(b.data))
 		}
 	}
+	return true
 }
 
 // evictLocked enforces the byte budget.
@@ -708,7 +739,7 @@ func (c *Cache) evictLocked() {
 			return
 		}
 		c.stats.Evictions++
-		c.dropLocked(victim)
+		c.dropLocked(splitKey(victim))
 	}
 }
 
@@ -718,7 +749,7 @@ func (c *Cache) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.closed = true
-	c.entries = make(map[string]*entry)
+	c.entries = make(map[string]map[string]*entry)
 	c.blobs = make(map[sig.Signature]*blob)
 	c.stats.BytesStored = 0
 }

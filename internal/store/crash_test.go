@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"placeless/internal/sig"
 )
 
 // failingWriter is the interposing writer for crash-consistency
@@ -42,8 +44,8 @@ func (f *failingWriter) Write(p []byte) (int, error) {
 func TestCrashConsistencySweep(t *testing.T) {
 	p1 := []byte("crash-sweep first record")
 	p2 := []byte("crash-sweep second record, slightly longer")
-	rec1, sig1 := encodeRecord(p1)
-	rec2, sig2 := encodeRecord(p2)
+	sig1, sig2 := sig.Of(p1), sig.Of(p2)
+	rec1, rec2 := encodeRecord(p1, sig1), encodeRecord(p2, sig2)
 	stream := append(append([]byte(nil), rec1...), rec2...)
 
 	for n := 0; n <= len(stream); n++ {

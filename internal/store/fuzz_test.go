@@ -16,8 +16,8 @@ import (
 // contract: open never errors on corruption, never panics, and every
 // blob the rebuilt index serves is byte-exact under its signature.
 func FuzzSegmentRoundTrip(f *testing.F) {
-	rec1, _ := encodeRecord([]byte("fuzz seed record one"))
-	rec2, _ := encodeRecord([]byte("fuzz seed record two"))
+	p1, p2 := []byte("fuzz seed record one"), []byte("fuzz seed record two")
+	rec1, rec2 := encodeRecord(p1, sig.Of(p1)), encodeRecord(p2, sig.Of(p2))
 	valid := append(append([]byte(nil), rec1...), rec2...)
 
 	f.Add([]byte(nil), 0)

@@ -53,17 +53,17 @@ type blobRef struct {
 }
 
 // encodeRecord renders one record (header + payload) into a fresh
-// buffer. The signature is computed here so a record can never be
-// written with a mismatched content address.
-func encodeRecord(payload []byte) ([]byte, sig.Signature) {
-	s := sig.Of(payload)
+// buffer. s must be sig.Of(payload); taking it from the caller lets
+// PutBlob hash once, outside the store lock, and skip the encoding of
+// a duplicate altogether.
+func encodeRecord(payload []byte, s sig.Signature) []byte {
 	buf := make([]byte, recordHeaderSize+len(payload))
 	copy(buf[0:4], segMagic[:])
 	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(payload)))
 	copy(buf[8:8+sig.Size], s[:])
 	binary.LittleEndian.PutUint32(buf[8+sig.Size:recordHeaderSize], recordCRC(s, payload))
 	copy(buf[recordHeaderSize:], payload)
-	return buf, s
+	return buf
 }
 
 // segmentName returns the file name of segment n.

@@ -286,17 +286,20 @@ func (s *Store) appendMeta(m metaRecord) error {
 }
 
 // PutBlob stores payload under its content signature, deduplicating
-// against blobs already on disk, and returns that signature.
+// against blobs already on disk, and returns that signature. The hash
+// runs before the lock is taken and a duplicate returns before any
+// record is encoded.
 func (s *Store) PutBlob(payload []byte) (sig.Signature, error) {
+	sg := sig.Of(payload)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return sig.Zero, fmt.Errorf("store: closed")
 	}
-	buf, sg := encodeRecord(payload)
 	if _, ok := s.refs[sg]; ok {
 		return sg, nil // content-addressed: same bytes, already durable
 	}
+	buf := encodeRecord(payload, sg)
 	if s.activeEnd > 0 && s.activeEnd+int64(len(buf)) > s.opts.SegmentMaxBytes {
 		if err := s.rollLocked(); err != nil {
 			return sig.Zero, err

@@ -57,6 +57,42 @@ func TestBlobRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPutBlobDuplicateAppendsNothing: re-putting a stored payload
+// returns the same signature and leaves the active segment unchanged.
+func TestPutBlobDuplicateAppendsNothing(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openT(t, dir)
+	payload := bytes.Repeat([]byte("sixty-four kibibytes "), 64<<10/21)
+	first, err := s.PutBlob(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, segmentName(s.active))
+	info, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 7; i++ {
+		again, err := s.PutBlob(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again != first {
+			t.Fatalf("re-put returned %s, first put %s", again, first)
+		}
+	}
+	after, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Size() != info.Size() {
+		t.Fatalf("segment grew from %d to %d bytes on duplicate puts", info.Size(), after.Size())
+	}
+	if st := s.Stats(); st.Blobs != 1 || st.BlobBytes != int64(len(payload)) {
+		t.Fatalf("stats after duplicate puts: %+v", st)
+	}
+}
+
 func TestReopenRecoversEverything(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openT(t, dir)
